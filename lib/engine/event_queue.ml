@@ -1,330 +1,255 @@
-(* Structure-of-arrays binary min-heap on (time, seq), with thunks and
-   handles in parallel arrays. Scheduling and firing an event moves array
-   cells around — the only allocation per event is its handle (required
-   by the API) — and cancellation accounting is O(1): the handle carries
-   a reference to the queue's shared counters, so [cancel] maintains
-   [live] directly instead of [pending] re-counting the heap.
+(* Indexed binary min-heap on (time, seq).
 
-   Cancellation stays lazy (a cancelled entry is dropped when it surfaces
-   at the top), with the same backstop as [Keyed_heap]: once cancelled
-   entries outnumber live ones in a non-trivially-sized heap, the next
-   [schedule] compacts in place and re-heapifies.
+   The heap columns [times], [seqs] and [slot_at] are indexed by heap
+   position and hold only ints, so a sift level moves three immediates
+   and updates one [pos] entry: no write barrier. An event's payload
+   lives in a slot: [thunks.(s)] is written once at [schedule] and
+   cleared once at fire or cancel, and [pos.(s)] maps the slot back to
+   its heap position, so [cancel] removes the entry eagerly (sift up or
+   down from the vacated position) and [pending] is the heap size.
 
-   The per-event handle allocation disappears in steady state: when an
-   entry leaves the heap dead — cancelled (at the top in [settle], or
-   skipped by [compact]) or fired (in [take_until]/[pop]) — its record
-   goes onto a per-queue free list and the next [schedule] reuses it.
-   Recycling fired handles makes firing the last use of a handle, the
-   same contract cancellation always had; callers that keep a handle
-   around clear their reference from inside the fired thunk (the kernel
-   does) or never touch it again.
+   [slot_at] is a permutation of the slots: positions [0, size) are the
+   heap and positions [size, cap) park the free slots, the most recently
+   freed one at [size], where the next [schedule] picks it up.
 
-   Each record carries a small identity ([handle_id]) assigned when the
-   record is first allocated and kept across recycling, so tests (and
-   diagnostics) can observe reuse without comparing physical
-   equality. *)
+   Handle recycling: each slot owns at most one handle record
+   ([handles.(s)], [null] until the slot's first use), reused by every
+   later event in that slot. A record is dead once its event fired or
+   was cancelled ([hslot] negative) and waits with its slot for reuse.
+   Firing is therefore the last use of a handle, the same contract
+   cancellation always had: callers that keep a handle clear their
+   reference from inside the fired thunk (the kernel does) or never
+   touch it again.
 
-(* Shared mutable counters; referenced by both the queue and every handle
-   so [cancel : handle -> unit] can update them without a queue arg. *)
-type stats = {
-  mutable live : int; (* scheduled, not cancelled, not fired *)
-  mutable stale : int; (* cancelled but still occupying a heap slot *)
-}
+   Each record carries a small identity ([hid]) assigned when the record
+   is first allocated and kept across reuse, so tests (and diagnostics)
+   can observe reuse without comparing physical equality. *)
 
-let pending_st = 0
-let cancelled_st = 1
-let fired_st = 2
-
-type handle = { mutable hstate : int; hid : int; stats : stats }
+let fired = -1
+let cancelled = -2
 
 type t = {
-  mutable times : int array; (* Time.t is int (nanoseconds) *)
+  mutable times : int array; (* by heap position; Time.t is int ns *)
   mutable seqs : int array;
-  mutable thunks : (unit -> unit) array;
-  mutable handles : handle array;
+  mutable slot_at : int array; (* heap position -> slot; free slots past [size] *)
+  mutable pos : int array; (* slot -> heap position, for live slots *)
+  mutable thunks : (unit -> unit) array; (* by slot *)
+  mutable handles : handle array; (* by slot *)
   mutable size : int;
   mutable next_seq : int;
   mutable next_hid : int; (* identity for the next fresh handle record *)
   mutable taken : unit -> unit; (* thunk of the last [take_until] hit *)
-  stats : stats;
-  mutable free : handle array; (* recycled dead handles (a stack) *)
-  mutable nfree : int;
 }
 
-let dummy_stats = { live = 0; stale = 0 }
-let dummy_handle = { hstate = fired_st; hid = -1; stats = dummy_stats }
+and handle = {
+  mutable hslot : int; (* slot while pending, else [fired] or [cancelled] *)
+  hid : int;
+  owner : t;
+}
+
 let nothing () = ()
 
 let create () =
   {
     times = [||];
     seqs = [||];
+    slot_at = [||];
+    pos = [||];
     thunks = [||];
     handles = [||];
     size = 0;
     next_seq = 0;
     next_hid = 0;
     taken = nothing;
-    stats = { live = 0; stale = 0 };
-    free = [||];
-    nfree = 0;
   }
 
-(* The retained arena is capped at twice the in-heap entry count (floor
-   1024): steady-state churn still recycles every handle, but a queue
-   that once held 10^6 in-flight events stops pinning 10^6 dead records
-   once it drains — the excess goes to the GC instead of the free list.
-   The floor matches the array-shrink floor and exists for the same
-   reason: a cap of [2 * size] alone follows a draining queue all the
-   way down, so a queue that oscillates between empty and a few hundred
-   in-flight events (the churn micro-benchmark's shape) would discard
-   most of its parked records every drain and reallocate them every
-   refill. A thousand parked 4-word records is a few KB — not worth
-   reclaiming. *)
-let free_limit t = Int.max 1024 (2 * t.size)
-
-(* Park a dead (cancelled or fired) handle for reuse, once its heap slot
-   is gone. *)
-let recycle t h =
-  if t.nfree < free_limit t then begin
-    let cap = Array.length t.free in
-    if t.nfree >= cap then begin
-      let nf = Array.make (if cap = 0 then 16 else cap * 2) dummy_handle in
-      Array.blit t.free 0 nf 0 t.nfree;
-      t.free <- nf
-    end;
-    t.free.(t.nfree) <- h;
-    t.nfree <- t.nfree + 1
-  end
-
-(* Cold path of [alloc_handle]: a fresh record with a fresh identity.
-   Kept out of line so the hot path is the free-list pop. *)
-let new_handle t =
-  let hid = t.next_hid in
-  t.next_hid <- t.next_hid + 1;
-  { hstate = pending_st; hid; stats = t.stats }
-
-let alloc_handle t =
-  if t.nfree > 0 then begin
-    t.nfree <- t.nfree - 1;
-    let h = t.free.(t.nfree) in
-    t.free.(t.nfree) <- dummy_handle;
-    h.hstate <- pending_st;
-    h
-  end
-  else new_handle t
-
-let handle_id h = h.hid
-let null = dummy_handle
+let null = { hslot = fired; hid = -1; owner = create () }
 let is_null h = h.hid < 0
+let handle_id h = h.hid
+let is_cancelled h = h.hslot = cancelled
 
-(* Strict ordering: earlier time first, FIFO (schedule order) among
-   events set for the same instant. *)
-let lt t i j =
-  let ti = t.times.(i) and tj = t.times.(j) in
-  if ti < tj then true else if tj < ti then false else t.seqs.(i) < t.seqs.(j)
+(* Cold path of [schedule]: the slot's first use gets a fresh record
+   with a fresh identity. *)
+let new_handle t s =
+  let h = { hslot = s; hid = t.next_hid; owner = t } in
+  t.next_hid <- t.next_hid + 1;
+  t.handles.(s) <- h;
+  h
 
-(* Hole-based sifting: the moving entry rides in the arguments (all
-   immediates or pointers — no allocation) and is written exactly once at
-   its final slot, so each level costs one 4-field copy instead of a
-   4-field swap. No [ref] for the running minimum either: a ref cell
-   would be a heap allocation per pop. *)
-let place t i tm sq fn hd =
-  t.times.(i) <- tm;
-  t.seqs.(i) <- sq;
-  t.thunks.(i) <- fn;
-  t.handles.(i) <- hd
-
-let rec sift_up_from t i tm sq fn hd =
-  if i = 0 then place t i tm sq fn hd
-  else begin
-    let p = (i - 1) / 2 in
-    let tp = t.times.(p) in
-    if tp > tm || (tp = tm && t.seqs.(p) > sq) then begin
-      t.times.(i) <- tp;
-      t.seqs.(i) <- t.seqs.(p);
-      t.thunks.(i) <- t.thunks.(p);
-      t.handles.(i) <- t.handles.(p);
-      sift_up_from t p tm sq fn hd
-    end
-    else place t i tm sq fn hd
-  end
-
-let rec sift_down_from t i tm sq fn hd =
-  let l = (2 * i) + 1 in
-  if l >= t.size then place t i tm sq fn hd
-  else begin
-    let r = l + 1 in
-    let s = if r < t.size && lt t r l then r else l in
-    let ts = t.times.(s) in
-    if ts < tm || (ts = tm && t.seqs.(s) < sq) then begin
-      t.times.(i) <- ts;
-      t.seqs.(i) <- t.seqs.(s);
-      t.thunks.(i) <- t.thunks.(s);
-      t.handles.(i) <- t.handles.(s);
-      sift_down_from t s tm sq fn hd
-    end
-    else place t i tm sq fn hd
-  end
-
-let sift_down t i =
-  sift_down_from t i t.times.(i) t.seqs.(i) t.thunks.(i) t.handles.(i)
-
+(* Only called with every slot in use ([size] = capacity): the new slots
+   go to the free tail of [slot_at], lowest first. *)
 let grow t =
   let cap = Array.length t.times in
-  if t.size >= cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nt = Array.make ncap Time.zero in
-    Array.blit t.times 0 nt 0 t.size;
-    t.times <- nt;
-    let ns = Array.make ncap 0 in
-    Array.blit t.seqs 0 ns 0 t.size;
-    t.seqs <- ns;
-    let nf = Array.make ncap nothing in
-    Array.blit t.thunks 0 nf 0 t.size;
-    t.thunks <- nf;
-    let nh = Array.make ncap dummy_handle in
-    Array.blit t.handles 0 nh 0 t.size;
-    t.handles <- nh
-  end
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slot_at <- Array.init ncap (fun i -> if i < cap then t.slot_at.(i) else i);
+  t.pos <- extend t.pos 0;
+  t.thunks <- extend t.thunks nothing;
+  t.handles <- extend t.handles null
 
 let rec pow2_above c n = if c >= n then c else pow2_above (2 * c) n
 
-(* Capacity release on the drain paths, same policy as [Keyed_heap]:
-   once occupancy falls below a quarter of capacity, shrink to a power
-   of two leaving 2x headroom. The free arena is trimmed to [free_limit]
-   first, so retained memory follows the live event count down. The
-   guard is a handful of loads and compares; the O(n) copies are
-   amortized O(1) per operation by the trigger/post-shrink hysteresis
-   gap. As in [Keyed_heap], capacity under 1024 slots is never
-   released: hysteresis cannot protect a queue that oscillates between
-   empty and a few hundred in-flight events every cycle (the churn
-   micro-benchmark's shape), and arrays that small don't pin memory
-   worth reclaiming. *)
+(* Cut every column to [ncap] slots (more than the live count). Live
+   entries sitting in slots at or past [ncap] move to free slots below
+   it (a slot is live iff its record points back at it); heap positions,
+   times and seqs stay put, so the firing order cannot change. Records
+   parked in the cut-off slots go to the GC. *)
+let shrink t ncap =
+  let live s = t.handles.(s).hslot = s in
+  let f = ref 0 in
+  for i = 0 to t.size - 1 do
+    let s = t.slot_at.(i) in
+    if s >= ncap then begin
+      while live !f do
+        incr f
+      done;
+      let h = t.handles.(s) in
+      h.hslot <- !f;
+      t.handles.(!f) <- h;
+      t.thunks.(!f) <- t.thunks.(s);
+      t.pos.(!f) <- i;
+      t.slot_at.(i) <- !f
+    end
+  done;
+  let k = ref t.size in
+  for s = 0 to ncap - 1 do
+    if not (live s) then begin
+      t.slot_at.(!k) <- s;
+      incr k
+    end
+  done;
+  t.times <- Array.sub t.times 0 ncap;
+  t.seqs <- Array.sub t.seqs 0 ncap;
+  t.slot_at <- Array.sub t.slot_at 0 ncap;
+  t.pos <- Array.sub t.pos 0 ncap;
+  t.thunks <- Array.sub t.thunks 0 ncap;
+  t.handles <- Array.sub t.handles 0 ncap
+
+(* Capacity release on the fire and cancel paths, same policy as
+   [Keyed_heap]: once occupancy falls below a quarter of capacity,
+   shrink to a power of two leaving 2x headroom. The guard is a couple
+   of loads and compares; the O(n) copies are amortized O(1) per
+   operation by the trigger/post-shrink hysteresis gap. Capacity under
+   1024 slots is never released: hysteresis cannot protect a queue that
+   oscillates between empty and a few hundred in-flight events every
+   cycle (the churn micro-benchmark's shape), and arrays that small
+   don't pin memory worth reclaiming. *)
 let shrink_if_sparse t =
   let cap = Array.length t.times in
-  if cap > 1024 && 4 * t.size < cap then begin
-    let ncap = pow2_above 16 (2 * t.size) in
-    if ncap < cap then begin
-      t.times <- Array.sub t.times 0 ncap;
-      t.seqs <- Array.sub t.seqs 0 ncap;
-      t.thunks <- Array.sub t.thunks 0 ncap;
-      t.handles <- Array.sub t.handles 0 ncap
+  if cap > 1024 && 4 * t.size < cap then shrink t (pow2_above 16 (2 * t.size))
+
+(* Hole-based sifting: the moving entry rides in the arguments and is
+   written once, at its final position. Ordering is strict: earlier time
+   first, FIFO (schedule order) among events set for the same instant. *)
+let place t i tm sq s =
+  t.times.(i) <- tm;
+  t.seqs.(i) <- sq;
+  t.slot_at.(i) <- s;
+  t.pos.(s) <- i
+
+(* The entry at position [p] orders after / before (tm, sq). *)
+let after t p tm sq =
+  let tp = t.times.(p) in
+  tp > tm || (tp = tm && t.seqs.(p) > sq)
+
+let before t p tm sq =
+  let tp = t.times.(p) in
+  tp < tm || (tp = tm && t.seqs.(p) < sq)
+
+let rec sift_up t i tm sq s =
+  if i = 0 then place t i tm sq s
+  else begin
+    let p = (i - 1) / 2 in
+    if after t p tm sq then begin
+      t.times.(i) <- t.times.(p);
+      t.seqs.(i) <- t.seqs.(p);
+      let sp = t.slot_at.(p) in
+      t.slot_at.(i) <- sp;
+      t.pos.(sp) <- i;
+      sift_up t p tm sq s
     end
-  end;
-  let limit = free_limit t in
-  if t.nfree > limit then begin
-    for i = limit to t.nfree - 1 do
-      t.free.(i) <- dummy_handle
-    done;
-    t.nfree <- limit
-  end;
-  let fcap = Array.length t.free in
-  if fcap > 1024 && 4 * t.nfree < fcap then begin
-    let nfcap = pow2_above 16 (2 * t.nfree) in
-    if nfcap < fcap then t.free <- Array.sub t.free 0 nfcap
+    else place t i tm sq s
   end
 
-let keep t ~src ~dst =
-  if dst <> src then begin
-    t.times.(dst) <- t.times.(src);
-    t.seqs.(dst) <- t.seqs.(src);
-    t.thunks.(dst) <- t.thunks.(src);
-    t.handles.(dst) <- t.handles.(src)
+let rec sift_down t i tm sq s =
+  let l = (2 * i) + 1 in
+  if l >= t.size then place t i tm sq s
+  else begin
+    let r = l + 1 in
+    let c = if r < t.size && before t r t.times.(l) t.seqs.(l) then r else l in
+    if before t c tm sq then begin
+      t.times.(i) <- t.times.(c);
+      t.seqs.(i) <- t.seqs.(c);
+      let sc = t.slot_at.(c) in
+      t.slot_at.(i) <- sc;
+      t.pos.(sc) <- i;
+      sift_down t c tm sq s
+    end
+    else place t i tm sq s
   end
 
-(* Release slot [i]'s heap references so a fired/cancelled event's thunk
-   and handle don't leak through the arrays. *)
-let release t i =
-  t.thunks.(i) <- nothing;
-  t.handles.(i) <- dummy_handle
-
-let compact t =
-  let j = ref 0 in
-  for i = 0 to t.size - 1 do
-    let h = t.handles.(i) in
-    if h.hstate = pending_st then begin
-      keep t ~src:i ~dst:!j;
-      incr j
-    end
-    else recycle t h (* only cancelled entries linger in the heap *)
-  done;
-  for i = !j to t.size - 1 do
-    release t i
-  done;
-  t.size <- !j;
-  t.stats.stale <- 0;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done;
+(* Take the entry at heap position [i] out: its slot joins the free tail
+   of [slot_at] and the last entry refills the hole, moving up if it
+   orders before the hole's parent and down otherwise. *)
+let remove_at t i =
+  let n = t.size - 1 in
+  let s = t.slot_at.(i) in
+  t.size <- n;
+  if i < n then begin
+    let tm = t.times.(n) and sq = t.seqs.(n) and sl = t.slot_at.(n) in
+    t.slot_at.(n) <- s;
+    if i > 0 && after t ((i - 1) / 2) tm sq then sift_up t i tm sq sl
+    else sift_down t i tm sq sl
+  end;
   shrink_if_sparse t
-
-let needs_compaction t = t.size >= 64 && 2 * t.stats.stale > t.size
 
 let schedule t ~at thunk =
-  if needs_compaction t then compact t;
-  grow t;
-  let h = alloc_handle t in
+  if t.size = Array.length t.times then grow t;
   let i = t.size in
+  let s = t.slot_at.(i) in
+  let h = t.handles.(s) in
+  let h = if is_null h then new_handle t s else h in
+  h.hslot <- s;
+  t.thunks.(s) <- thunk;
   let sq = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  t.stats.live <- t.stats.live + 1;
-  sift_up_from t i at sq thunk h;
+  t.next_seq <- sq + 1;
+  t.size <- i + 1;
+  sift_up t i at sq s;
   h
 
+(* Retire slot [s]'s event: drop the thunk reference so it cannot leak
+   through the column, and mark the record dead. *)
+let release t s state =
+  t.thunks.(s) <- nothing;
+  t.handles.(s).hslot <- state
+
 let cancel h =
-  if h.hstate = pending_st then begin
-    h.hstate <- cancelled_st;
-    h.stats.live <- h.stats.live - 1;
-    h.stats.stale <- h.stats.stale + 1
+  let s = h.hslot in
+  if s >= 0 then begin
+    let t = h.owner in
+    let i = t.pos.(s) in
+    release t s cancelled;
+    remove_at t i
   end
 
-let is_cancelled h = h.hstate = cancelled_st
+let next_time t = if t.size = 0 then None else Some t.times.(0)
 
-let remove_top t =
-  t.size <- t.size - 1;
-  let n = t.size in
-  if n > 0 then begin
-    let tm = t.times.(n)
-    and sq = t.seqs.(n)
-    and fn = t.thunks.(n)
-    and hd = t.handles.(n) in
-    release t n;
-    sift_down_from t 0 tm sq fn hd
-  end
-  else release t n;
-  shrink_if_sparse t
-
-(* Drop cancelled entries sitting at the top of the heap. *)
-let rec settle t =
-  if t.size > 0 && t.handles.(0).hstate <> pending_st then begin
-    let h = t.handles.(0) in
-    if h.hstate = cancelled_st then begin
-      t.stats.stale <- t.stats.stale - 1;
-      recycle t h
-    end;
-    remove_top t;
-    settle t
-  end
-
-let next_time t =
-  settle t;
-  if t.size = 0 then None else Some t.times.(0)
-
-(* Fire the top entry: mark it fired, record its thunk in [t.taken],
-   drop its slot and park its record for reuse. Returns its time. *)
+(* Fire the top entry: record its thunk in [t.taken], retire its slot
+   and remove it from the heap. Returns its time. *)
 let fire_top t =
-  let at = t.times.(0) and h = t.handles.(0) in
-  t.taken <- t.thunks.(0);
-  h.hstate <- fired_st;
-  t.stats.live <- t.stats.live - 1;
-  remove_top t;
-  recycle t h;
+  let at = t.times.(0) and s = t.slot_at.(0) in
+  t.taken <- t.thunks.(s);
+  release t s fired;
+  remove_at t 0;
   at
 
 let take_until t ~horizon =
-  settle t;
   if t.size > 0 && t.times.(0) <= horizon then fire_top t
   else begin
     t.taken <- nothing;
@@ -334,18 +259,20 @@ let take_until t ~horizon =
 let taken t = t.taken
 
 let pop t =
-  settle t;
   if t.size = 0 then None
   else begin
     let at = fire_top t in
     Some (at, t.taken)
   end
 
-let pending t = t.stats.live
+let pending t = t.size
 let capacity t = Array.length t.times
-let retained_handles t = t.nfree
 
-(* Deterministic retained-words accounting: four heap columns, the free
-   stack, and the parked handle records (4 words each incl. header). *)
+let retained_handles t =
+  Array.fold_left (fun n h -> if is_null h then n else n + 1) 0 t.handles
+  - t.size
+
+(* Deterministic retained-words accounting: six columns and the parked
+   handle records (4 words each incl. header). *)
 let footprint_words t =
-  (4 * Array.length t.times) + Array.length t.free + (4 * t.nfree) + 12
+  (6 * Array.length t.times) + (4 * retained_handles t) + 12

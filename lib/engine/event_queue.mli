@@ -2,8 +2,9 @@
 
     Events are thunks keyed by (time, insertion sequence); popping yields
     events in time order, FIFO among events scheduled for the same instant.
-    Cancellation is lazy: [cancel] marks the handle and the queue discards
-    the entry when it surfaces. *)
+    Cancellation is eager: [cancel] removes the entry from the heap at
+    once (O(log n)), so cancelled events hold no heap space and
+    {!pending} is simply the number of entries. *)
 
 type t
 
@@ -46,16 +47,16 @@ val null : handle
 val is_null : handle -> bool
 
 val next_time : t -> Time.t option
-(** Time of the earliest pending (non-cancelled) event, without firing. *)
+(** Time of the earliest pending event, without firing. *)
 
 val take_until : t -> horizon:Time.t -> Time.t
 (** Allocation-free pop bounded by the horizon: remove the earliest
     pending event if its time is [<= horizon] and return that time, with
     the thunk readable via {!taken}; [-1] (an impossible timestamp —
     simulation time starts at zero) iff no such event exists. This is
-    the simulation driver's per-event path: one settle pass, no option,
-    no tuple, and the fired handle record is parked for reuse before the
-    thunk is exposed. *)
+    the simulation driver's per-event path: no option, no tuple, and the
+    fired handle record is parked for reuse before the thunk is
+    exposed. *)
 
 val taken : t -> unit -> unit
 (** Thunk of the most recent successful {!take_until}. Call it exactly
@@ -70,21 +71,22 @@ val pending : t -> int
 (** Number of live (non-cancelled, not yet fired) events. O(1). *)
 
 val capacity : t -> int
-(** Current heap-array capacity in slots. Arrays shrink on the drain
-    paths once occupancy falls below a quarter of capacity (2x-headroom
+(** Current heap-array capacity in slots. Arrays shrink on the fire and
+    cancel paths once occupancy falls below a quarter of capacity (2x-headroom
     hysteresis; capacity under 1024 slots is kept, so small queues that
     drain and refill every cycle never thrash), so a queue that once
     held 10^6 in-flight events stops pinning their memory after
     draining. *)
 
 val retained_handles : t -> int
-(** Dead handle records parked for reuse. Capped at twice the in-heap
-    entry count (floor 1024, matching the array-shrink floor): the
-    retained arena follows the live event count down instead of
-    recording its high-water mark, while small oscillating queues keep
-    recycling every handle. *)
+(** Dead handle records parked for reuse. Each slot keeps at most one
+    record, so this is bounded by {!capacity} minus {!pending}: the
+    retained arena follows the capacity down as the queue drains (at
+    most 1024 records once empty, matching the array-shrink floor)
+    instead of recording its high-water mark, while small oscillating
+    queues keep recycling every handle. *)
 
 val footprint_words : t -> int
-(** Approximate retained heap words of the queue — columns, free stack,
-    and parked records. Deterministic (array lengths, not GC sampling),
-    for the scale benches' footprint accounting. *)
+(** Approximate retained heap words of the queue — columns and parked
+    records. Deterministic (array lengths, not GC sampling), for the
+    scale benches' footprint accounting. *)

@@ -1,6 +1,14 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: storing an [int64] field boxes it (3 minor words per
+   draw), while the buffer's 64-bit load/store primitives stay unboxed. *)
+type t = bytes
 
 let golden = 0x9E3779B97F4A7C15L
+
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
@@ -8,18 +16,17 @@ let mix z =
   Int64.(logxor z (shift_right_logical z 31))
 
 let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
 let create seed =
-  let t = { state = Int64.of_int seed } in
+  let t = of_state (Int64.of_int seed) in
   (* A warm-up draw decorrelates small consecutive seeds. *)
   ignore (next_int64 t);
   t
 
-let split t =
-  let s = next_int64 t in
-  { state = mix s }
+let split t = of_state (mix (next_int64 t))
 
 (* Weyl-sequence offset per stream index, then the usual finalizer:
    stream 0, 1, 2, ... are decorrelated from each other and from the
@@ -27,10 +34,11 @@ let split t =
    consumer can re-derive any stream at any time. *)
 let stream t i =
   if i < 0 then invalid_arg "Prng.stream: negative stream index";
-  let s = Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1))) in
-  { state = mix (Int64.logxor s 0x5851F42D4C957F2DL) }
+  let offset = Int64.mul golden (Int64.of_int (i + 1)) in
+  let s = Int64.add (Bytes.get_int64_ne t 0) offset in
+  of_state (mix (Int64.logxor s 0x5851F42D4C957F2DL))
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -47,11 +55,11 @@ let int_in t lo hi =
    Monolithic on purpose: with [next_int64] called out of line, its
    boxed [int64] return plus the extra [float] wrapper cost ~5 minor
    words per draw; with the state step and finalizer inlined here, the
-   intermediates stay unboxed and a draw's only allocations are the
-   state store and the [float] result. Same output sequence. *)
+   intermediates stay unboxed and a draw's only allocation is the
+   [float] result. Same output sequence. *)
 let unit_float t =
-  let s = Int64.add t.state golden in
-  t.state <- s;
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
   let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   let z = Int64.(logxor z (shift_right_logical z 31)) in
@@ -64,8 +72,8 @@ let unit_float t =
    callers (lottery's per-decision draw) keep a 1-cell array and pay
    zero allocation. Same state step, same output sequence. *)
 let unit_float_into t cell =
-  let s = Int64.add t.state golden in
-  t.state <- s;
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
   let z = Int64.(mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   let z = Int64.(logxor z (shift_right_logical z 31)) in
@@ -82,6 +90,18 @@ let exponential t ~mean =
   if not (mean > 0.0) then invalid_arg "Prng.exponential: mean must be positive";
   let u = 1.0 -. unit_float t in
   -.mean *. log u
+
+(* Staged twin of [exponential]: [cell.(0)] holds the mean on entry and
+   the draw on exit, so neither crosses a call boundary as a boxed
+   float. Same state step and the same operations as [exponential],
+   hence the same bits. *)
+let exponential_into t cell =
+  let mean = cell.(0) in
+  if not (mean > 0.0) then
+    invalid_arg "Prng.exponential_into: mean must be positive";
+  unit_float_into t cell;
+  let u = 1.0 -. cell.(0) in
+  cell.(0) <- -.mean *. log u
 
 let gaussian t ~mu ~sigma =
   let u1 = 1.0 -. unit_float t and u2 = unit_float t in

@@ -56,6 +56,12 @@ val bernoulli : t -> float -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean (> 0). *)
 
+val exponential_into : t -> float array -> unit
+(** [exponential_into t cell] replaces the mean in [cell.(0)] with the
+    draw {!exponential} would return for it: same state step, same bits,
+    no boxed float (see {!unit_float_into}). Per-event callers (Poisson
+    interrupt sources) keep a 1-cell array. *)
+
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed (Box–Muller; one draw per call). *)
 

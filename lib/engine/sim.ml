@@ -21,9 +21,9 @@ let after t d f =
 
 let cancel = Event_queue.cancel
 
-(* The per-event loop: one [take_until] (single settle pass, no option,
-   no tuple) per event, thunk read through [taken]. Top-level so no
-   closure is allocated per call. *)
+(* The per-event loop: one [take_until] (no option, no tuple) per
+   event, thunk read through [taken]. Top-level so no closure is
+   allocated per call. *)
 let rec drain_until t horizon =
   let at = Event_queue.take_until t.q ~horizon in
   if at >= 0 then begin

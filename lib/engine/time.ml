@@ -10,6 +10,7 @@ let seconds n = n * 1_000_000_000
 let minutes n = n * 60_000_000_000
 
 let of_seconds_float s = int_of_float (Float.round (s *. 1e9))
+let of_seconds_cell c = int_of_float (Float.round (c.(0) *. 1e9))
 let to_seconds_float t = float_of_int t /. 1e9
 let to_milliseconds_float t = float_of_int t /. 1e6
 

@@ -24,6 +24,11 @@ val minutes : int -> span
 val of_seconds_float : float -> span
 (** [of_seconds_float s] rounds [s] seconds to the nearest nanosecond. *)
 
+val of_seconds_cell : float array -> span
+(** [of_seconds_cell c] is [of_seconds_float c.(0)], reading the float
+    from a cell so it is not boxed at the call (see
+    {!Prng.unit_float_into}). *)
+
 val to_seconds_float : t -> float
 val to_milliseconds_float : t -> float
 

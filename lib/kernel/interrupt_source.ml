@@ -31,14 +31,19 @@ let start spec ~sim ~fire =
     if rate_hz <= 0. || mean_cost <= 0 then
       invalid_arg "Interrupt_source: bad poisson spec";
     let rng = Prng.create seed in
+    (* Draws go through a float cell: a boxed float per draw would make
+       every arrival allocate. *)
+    let cell = [| 0. |] in
+    let gap_mean = 1. /. rate_hz and cost_mean = float_of_int mean_cost in
     let next_gap () =
-      Time.of_seconds_float (Prng.exponential rng ~mean:(1. /. rate_hz))
+      cell.(0) <- gap_mean;
+      Prng.exponential_into rng cell;
+      Time.of_seconds_cell cell
     in
     let rec arrival () =
-      let cost =
-        Int.max 1
-          (int_of_float (Prng.exponential rng ~mean:(float_of_int mean_cost)))
-      in
+      cell.(0) <- cost_mean;
+      Prng.exponential_into rng cell;
+      let cost = Int.max 1 (int_of_float cell.(0)) in
       fire ~duration:cost;
       ignore (Sim.after sim (Int.max 1 (next_gap ())) arrival)
     in

@@ -408,6 +408,33 @@ let pause_dispatch t d now =
   end;
   d.paused <- true
 
+(* [make_runnable]'s CPU scans, top-level so a wake allocates no
+   closures: the first CPU from [i] on running another thread of [th]'s
+   leaf that [th] preempts; the first free CPU; the first CPU running a
+   thread other than [th]. Each returns -1 when there is none. *)
+let rec find_within t th (lf : Leaf_sched.t) i =
+  if i >= Array.length t.cpu_set then -1
+  else
+    match t.cpu_set.(i).current with
+    | Some d
+      when d.d_tid <> th.tid
+           && (thread t d.d_tid).leaf = th.leaf
+           && lf.preempts ~waker:th.tid ~running:d.d_tid -> i
+    | _ -> find_within t th lf (i + 1)
+
+let rec find_free t i =
+  if i >= Array.length t.cpu_set then -1
+  else if t.cpu_set.(i).current = None && not (interrupt_active t.cpu_set.(i))
+  then i
+  else find_free t (i + 1)
+
+let rec find_busy t th i =
+  if i >= Array.length t.cpu_set then -1
+  else
+    match t.cpu_set.(i).current with
+    | Some d when d.d_tid <> th.tid -> i
+    | _ -> find_busy t th (i + 1)
+
 type disposition =
   | Requeue (* quantum expired / preempted: thread stays runnable *)
   | Block_until of Time.t (* sleeping with a wakeup timer *)
@@ -796,35 +823,10 @@ and make_runnable t th now =
      path. Cross-class preemption ([Preempt_on_wake]) fires only when no
      CPU is free to take the waker; the lowest-numbered busy CPU yields
      (on one CPU this is the classic immediate preemption). *)
-  let ncpu = Array.length t.cpu_set in
-  let rec find_within i =
-    if i >= ncpu then -1
-    else
-      match t.cpu_set.(i).current with
-      | Some d
-        when d.d_tid <> th.tid
-             && (thread t d.d_tid).leaf = th.leaf
-             && lf.preempts ~waker:th.tid ~running:d.d_tid -> i
-      | _ -> find_within (i + 1)
-  in
-  let rec find_free i =
-    if i >= ncpu then -1
-    else if
-      t.cpu_set.(i).current = None && not (interrupt_active t.cpu_set.(i))
-    then i
-    else find_free (i + 1)
-  in
-  let rec find_busy i =
-    if i >= ncpu then -1
-    else
-      match t.cpu_set.(i).current with
-      | Some d when d.d_tid <> th.tid -> i
-      | _ -> find_busy (i + 1)
-  in
-  let within = find_within 0 in
+  let within = find_within t th lf 0 in
   if within >= 0 then preempt_cpu t t.cpu_set.(within)
-  else if t.cfg.preemption = Preempt_on_wake && find_free 0 < 0 then begin
-    let victim = find_busy 0 in
+  else if t.cfg.preemption = Preempt_on_wake && find_free t 0 < 0 then begin
+    let victim = find_busy t th 0 in
     if victim >= 0 then preempt_cpu t t.cpu_set.(victim)
   end;
   dispatch_idle t ~prefer:th.last_cpu

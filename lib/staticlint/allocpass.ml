@@ -67,8 +67,9 @@ let default_configs =
     };
     (* [pop]/[next_time] deliberately absent: their option/tuple results
        are the compat shape; the simulation driver's per-event path is
-       [take_until]/[taken]. [new_handle] is the free-list-dry slow
-       path of [alloc_handle]. *)
+       [take_until]/[taken]. [new_handle] is a slot's first use;
+       [grow]/[shrink] resize the columns ([shrink_if_sparse], the
+       guard in front of [shrink], stays on the walk). *)
     {
       source = "lib/engine/event_queue.ml";
       roots =
@@ -81,7 +82,7 @@ let default_configs =
           "handle_id";
           "pending";
         ];
-      cold = [ "grow"; "compact"; "recycle"; "new_handle"; "shrink_if_sparse" ];
+      cold = [ "grow"; "shrink"; "new_handle" ];
     };
     (* The boxed leaf disciplines ported to SoA layouts: their decision
        paths must hold the measured words/decision in BENCH_sched.json
@@ -342,7 +343,7 @@ let scan_unit config (u : Cmt_index.unit_info) =
     List.concat_map
       (fun (n, e) ->
         (* non-function bindings evaluate once at module init, not per
-           call: sentinels like event_queue's [dummy_handle] may
+           call: sentinels like event_queue's [null] handle may
            allocate there freely *)
         let is_function =
           match e.Typedtree.exp_desc with

@@ -132,6 +132,22 @@ let test_prng_stream_reproducible () =
       (Prng.next_int64 sa) (Prng.next_int64 sb)
   done
 
+(* The staged draw is the boxed one, bit for bit: same state step, same
+   operations, same rounding to nanoseconds. *)
+let test_prng_exponential_into_matches () =
+  let a = Prng.create 11 and b = Prng.create 11 in
+  let cell = [| 0. |] in
+  for i = 1 to 1000 do
+    let mean = 1e-3 *. float_of_int i in
+    let x = Prng.exponential a ~mean in
+    cell.(0) <- mean;
+    Prng.exponential_into b cell;
+    Alcotest.(check int64) "same bits" (Int64.bits_of_float x)
+      (Int64.bits_of_float cell.(0));
+    check_int "same nanoseconds" (Time.of_seconds_float x)
+      (Time.of_seconds_cell cell)
+  done
+
 let test_prng_stream_independent () =
   let t = Prng.create 42 in
   let s0 = Prng.stream t 0 and s1 = Prng.stream t 1 in
@@ -595,6 +611,180 @@ let prop_event_queue_total_order =
       let popped = drain [] in
       popped = List.sort Int.compare times)
 
+(* Differential check of the queue against a naive reference: an ordered
+   set of pending (time, id) pairs, ids being schedule order, so the set
+   order is exactly the queue's (time, then FIFO) contract. Every op
+   is applied to both; after each one the fire logs and [pending] must
+   agree. Fired thunks run an effect that cancels or schedules through
+   the same harness, so re-entrant queue use is compared too. *)
+module Ref_set = Set.Make (struct
+  type t = int * int
+
+  let compare (a, i) (b, j) =
+    match Int.compare a b with 0 -> Int.compare i j | c -> c
+end)
+
+type eq_effect = Nop | Cancel_ev of int | Sched_ev of int (* delay *)
+
+type eq_op =
+  | Sched of int * eq_effect
+  | Cancel of int (* event index, taken modulo the events so far *)
+  | Take of int (* horizon *)
+  | Pop
+  | Burst of int (* that many schedules, times spread over [0, n) *)
+  | Thin of int (* cancel every pending event whose id is a multiple *)
+  | Drain
+
+let pp_eq_op = function
+  | Sched (at, Nop) -> Printf.sprintf "Sched %d" at
+  | Sched (at, Cancel_ev k) -> Printf.sprintf "Sched %d (cancel %d)" at k
+  | Sched (at, Sched_ev d) -> Printf.sprintf "Sched %d (sched +%d)" at d
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Take h -> Printf.sprintf "Take %d" h
+  | Pop -> "Pop"
+  | Burst n -> Printf.sprintf "Burst %d" n
+  | Thin m -> Printf.sprintf "Thin %d" m
+  | Drain -> "Drain"
+
+(* Runs [ops]; returns how many times the queue's capacity went down.
+   Fails the test on the first divergence. *)
+let run_eq_ops ops =
+  let q = Event_queue.create () in
+  let events = Hashtbl.create 64 in (* id -> (handle, time) *)
+  (* id -> number of schedules made when the event died; absent while
+     pending. Cancelling a dead handle is a no-op only until a later
+     [schedule] may reuse its record, so the harness re-cancels a dead
+     handle only when no schedule happened since it died. *)
+  let died = Hashtbl.create 64 in
+  let count = ref 0 in
+  let model = ref Ref_set.empty in
+  let fired_q = ref [] and fired_m = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail m) fmt in
+  let rec schedule at eff =
+    let id = !count in
+    incr count;
+    let h =
+      Event_queue.schedule q ~at (fun () ->
+          fired_q := id :: !fired_q;
+          match eff with
+          | Nop -> ()
+          | Cancel_ev k -> cancel (k mod !count)
+          | Sched_ev d -> schedule (at + d) Nop)
+    in
+    Hashtbl.replace events id (h, at);
+    model := Ref_set.add (at, id) !model
+  and cancel id =
+    match (Hashtbl.find_opt events id, Hashtbl.find_opt died id) with
+    | None, _ -> fail "event %d was never scheduled" id
+    | Some (h, at), None ->
+      Event_queue.cancel h;
+      Hashtbl.replace died id !count;
+      model := Ref_set.remove (at, id) !model;
+      if not (Event_queue.is_cancelled h) then fail "event %d not cancelled" id
+    | Some (h, _), Some at_count when at_count = !count ->
+      let live = Event_queue.pending q in
+      Event_queue.cancel h;
+      if Event_queue.pending q <> live then
+        fail "cancel of dead event %d changed pending" id
+    | Some _, Some _ -> ()
+  in
+  let fire_model () =
+    match Ref_set.min_elt_opt !model with
+    | None -> None
+    | Some ((at, id) as e) ->
+      model := Ref_set.remove e !model;
+      fired_m := id :: !fired_m;
+      Hashtbl.replace died id !count;
+      Some at
+  in
+  let take horizon =
+    let expect =
+      match Ref_set.min_elt_opt !model with
+      | Some (at, _) when at <= horizon -> fire_model ()
+      | _ -> None
+    in
+    let got = Event_queue.take_until q ~horizon in
+    (match expect with
+    | Some at when got = at -> Event_queue.taken q ()
+    | Some at -> fail "take_until %d: got %d, expected %d" horizon got at
+    | None -> if got <> -1 then fail "take_until %d: got %d, expected none" horizon got);
+    expect <> None
+  in
+  let shrinks = ref 0 in
+  List.iter
+    (fun op ->
+      let cap = Event_queue.capacity q in
+      (match op with
+      | Sched (at, eff) -> schedule at eff
+      | Cancel k -> if !count > 0 then cancel (k mod !count)
+      | Take h -> ignore (take h : bool)
+      | Pop -> (
+        let expect = fire_model () in
+        match (Event_queue.pop q, expect) with
+        | Some (at, f), Some at' when at = at' -> f ()
+        | None, None -> ()
+        | _ -> fail "pop disagrees with the reference")
+      | Burst n ->
+        for i = 0 to n - 1 do
+          schedule (i * 7919 mod n) Nop
+        done
+      | Thin m ->
+        Ref_set.iter (fun (_, id) -> if id mod m = 0 then cancel id) !model
+      | Drain -> while take max_int do () done);
+      if Event_queue.capacity q < cap then incr shrinks;
+      if !fired_q <> !fired_m then
+        fail "after %s: fire order diverged" (pp_eq_op op);
+      if Event_queue.pending q <> Ref_set.cardinal !model then
+        fail "after %s: pending %d, reference %d" (pp_eq_op op)
+          (Event_queue.pending q) (Ref_set.cardinal !model))
+    ops;
+  !shrinks
+
+let gen_eq_op =
+  let open QCheck.Gen in
+  let eff =
+    frequency
+      [
+        (6, return Nop);
+        (2, map (fun k -> Cancel_ev k) nat);
+        (2, map (fun d -> Sched_ev d) (int_bound 50));
+      ]
+  in
+  frequency
+    [
+      (* A narrow time range makes equal-time ties common. *)
+      (10, map2 (fun at e -> Sched (at, e)) (int_bound 60) eff);
+      (4, map (fun k -> Cancel k) nat);
+      (3, map (fun h -> Take h) (int_bound 80));
+      (2, return Pop);
+      (1, map (fun m -> Thin m) (int_range 2 4));
+      (1, return Drain);
+      (* Past the 1024-slot floor, so draining or thinning shrinks. *)
+      (1, map (fun n -> Burst n) (int_range 1100 2600));
+    ]
+
+let prop_event_queue_matches_reference =
+  QCheck.Test.make ~name:"event queue matches a sorted-list reference" ~count:100
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_eq_op ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_bound 120) gen_eq_op))
+    (fun ops ->
+      ignore (run_eq_ops ops : int);
+      true)
+
+(* The random property reaches the slot-arena shrink only sometimes; this
+   sequence always does, on the cancel path (thinning a burst) and the
+   fire path (draining it), with live entries in slots past the new
+   capacity and re-entrant cancels and schedules in flight. *)
+let test_event_queue_reference_through_shrinks () =
+  let ops =
+    [ Burst 5000; Sched (3, Cancel_ev 4000); Sched (3, Sched_ev 0); Thin 2;
+      Thin 3; Cancel 4001; Cancel 4001; Take 2000; Burst 1500; Drain;
+      Sched (0, Nop); Pop; Pop ]
+  in
+  check_bool "capacity shrank" true (run_eq_ops ops >= 2)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -614,6 +804,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "uniform mean" `Quick test_prng_uniform_mean;
           Alcotest.test_case "exponential mean" `Quick test_prng_exponential_mean;
+          Alcotest.test_case "exponential_into matches exponential" `Quick
+            test_prng_exponential_into_matches;
           Alcotest.test_case "gaussian moments" `Quick test_prng_gaussian_moments;
           Alcotest.test_case "bernoulli" `Quick test_prng_bernoulli;
           Alcotest.test_case "pareto and choice" `Quick test_prng_pareto_and_choice;
@@ -641,6 +833,9 @@ let () =
           Alcotest.test_case "burst releases memory" `Quick
             test_event_queue_burst_releases_memory;
           qc prop_event_queue_total_order;
+          qc prop_event_queue_matches_reference;
+          Alcotest.test_case "reference through shrinks" `Quick
+            test_event_queue_reference_through_shrinks;
         ] );
       ( "sim",
         [
