@@ -90,8 +90,8 @@ let fair_decision_micro (module F : Sched.Scheduler_intf.FAIR) ~group ~q =
     fn =
       (fun () ->
         match F.select t with
-        | Some id -> F.charge t ~id ~service:2e7 ~runnable:true
-        | None -> invalid_arg "bench: empty ready set");
+        | -1 -> invalid_arg "bench: empty ready set"
+        | id -> F.charge t ~id ~service:2e7 ~runnable:true);
   }
 
 let sfq_decision_micro ~q =
@@ -105,8 +105,8 @@ let sfq_decision_micro ~q =
     fn =
       (fun () ->
         match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true
-        | None -> invalid_arg "bench: empty ready set");
+        | -1 -> invalid_arg "bench: empty ready set"
+        | id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true);
   }
 
 (* A full hierarchical scheduling decision (schedule + update) through a
@@ -164,8 +164,8 @@ let obs_sfq_micro ~q ~enabled =
     fn =
       (fun () ->
         match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true
-        | None -> invalid_arg "bench: empty ready set");
+        | -1 -> invalid_arg "bench: empty ready set"
+        | id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true);
   }
 
 let obs_hierarchy_micro ~depth ~enabled =
@@ -783,8 +783,8 @@ let sfq_scale_row ~q ~decisions mix =
   let ns, words =
     time_decisions ~n:decisions (fun () ->
         match Core.Sfq.select t with
-        | Some id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true
-        | None -> invalid_arg "scale: empty ready set")
+        | -1 -> invalid_arg "scale: empty ready set"
+        | id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true)
   in
   let end_words = Core.Sfq.footprint_words t in
   sample ();

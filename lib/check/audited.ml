@@ -59,27 +59,25 @@ module Make (F : Scheduler_intf.FAIR) = struct
     post t ~event:(Printf.sprintf "set_weight id=%d w=%g" id weight)
 
   let select t =
-    let r = F.select t.f in
+    let id = F.select t.f in
     let event =
-      match r with
-      | None -> "select -> none"
-      | Some id -> Printf.sprintf "select -> id=%d" id
+      if id < 0 then "select -> none" else Printf.sprintf "select -> id=%d" id
     in
     let chk inv = Invariant.check t.sink ~invariant:inv ~node:t.node ~event in
     chk "work-conserving" (t.pending = None)
       "select with a selection already pending";
-    (match r with
-    | None ->
+    if id < 0 then
       chk "work-conserving"
         (Hashtbl.length t.ready = 0)
         "select returned none with %d clients runnable"
         (Hashtbl.length t.ready)
-    | Some id ->
+    else begin
       chk "work-conserving" (Hashtbl.mem t.ready id)
         "selected client %d is not runnable" id;
-      t.pending <- Some id);
+      t.pending <- Some id
+    end;
     post t ~event;
-    r
+    id
 
   let charge t ~id ~service ~runnable =
     F.charge t.f ~id ~service ~runnable;
@@ -135,7 +133,10 @@ module Sfq = struct
       (fun () -> Sfq_rules.Set_weight { id; weight })
       (fun s -> S.set_weight s ~id ~weight)
 
-  let select t = guarded t (fun r -> Sfq_rules.Select r) S.select
+  let select t =
+    guarded t
+      (fun id -> Sfq_rules.Select (if id < 0 then None else Some id))
+      S.select
 
   let charge t ~id ~service ~runnable =
     guarded t

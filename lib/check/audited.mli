@@ -47,7 +47,7 @@ module Sfq : sig
   val arrive : t -> id:int -> weight:float -> unit
   val depart : t -> id:int -> unit
   val set_weight : t -> id:int -> weight:float -> unit
-  val select : t -> int option
+  val select : t -> int
   val charge : t -> id:int -> service:float -> runnable:bool -> unit
   val block : t -> id:int -> unit
   val donate : t -> blocked:int -> recipient:int -> unit

@@ -468,7 +468,7 @@ let rec descend_id t n =
   match n.kind with
   | Leaf -> n.nid
   | Internal ->
-    let child = Sfq.select_id (sfq_of n) in
+    let child = Sfq.select (sfq_of n) in
     if child >= 0 then begin
       audited t ~node:n.nid ~event:"select";
       descend_id t (node t child)

@@ -442,7 +442,7 @@ let set_weight t ~id ~weight =
   let slot = slot_checked t id in
   t.weightv.(slot) <- weight
 
-let select_id t =
+let select t =
   if t.nsvc >= t.servers then
     invalid_arg "Sfq.select: previous selection not yet charged";
   let slot = Keyed_heap.pop_valid t.queue in
@@ -471,10 +471,6 @@ let select_id t =
            ~b:id ~c:0 ~d:0);
     id
   end
-
-let select t =
-  let id = select_id t in
-  if id < 0 then None else Some id
 
 (* Hot charge body, on an in-service slot. [ci] is the slot's index in
    the claim set (validated by the caller); swap-removal keeps the set

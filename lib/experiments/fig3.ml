@@ -66,11 +66,11 @@ let run () =
   while !t < horizon do
     process_wakes ();
     match Sfq.select sfq with
-    | None ->
+    | -1 ->
       (* Idle: the paper's rule sets v to the max finish tag. *)
       if Float.is_nan !v_idle then v_idle := Sfq.virtual_time sfq;
       t := !t + quantum
-    | Some id ->
+    | id ->
       let s = Sfq.start_tag sfq ~id and v = Sfq.virtual_time sfq in
       let t0 = !t in
       t := !t + quantum;

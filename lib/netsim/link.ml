@@ -17,7 +17,7 @@ type flow = {
 type sched_ops = {
   s_name : string;
   s_arrive : id:int -> weight:float -> unit;
-  s_select : unit -> int option;
+  s_select : unit -> int; (* -1 = nothing queued *)
   s_charge : id:int -> service:float -> runnable:bool -> unit;
   s_depart : id:int -> unit;
 }
@@ -81,8 +81,8 @@ let remove_flow t ~id =
    charge the actual length and continue while backlogged. *)
 let rec start_transmission t =
   match t.sched.s_select () with
-  | None -> t.transmitting <- false
-  | Some id ->
+  | -1 -> t.transmitting <- false
+  | id ->
     t.transmitting <- true;
     let f = get t id in
     let pkt = Queue.pop f.queue in

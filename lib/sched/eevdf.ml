@@ -152,7 +152,7 @@ let rec promote t =
 let select t =
   if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
-  if t.nrun = 0 then None
+  if t.nrun = 0 then -1
   else begin
     promote t;
     let id = Keyed_heap.pop_valid t.eligible in
@@ -164,7 +164,7 @@ let select t =
         Keyed_heap.pop_valid t.future
     in
     t.in_service <- id;
-    if id >= 0 then Some id else None
+    id
   end
 
 let charge t ~id ~service ~runnable =

@@ -112,7 +112,7 @@ let set_weight t ~id ~weight =
 let select t =
   if t.in_service >= 0 then
     invalid_arg "select: a selection is already in service";
-  if t.nrun = 0 then None
+  if t.nrun = 0 then -1
   else begin
     (* Draw a ticket in [0, total_weight) and walk the dense ready set.
        The slot order is arbitrary (swap-removal permutes it) but fixed
@@ -129,7 +129,7 @@ let select t =
     done;
     let id = if t.winner >= 0 then t.winner else t.rids.(t.nrun - 1) in
     t.in_service <- id;
-    Some id
+    id
   end
 
 let charge t ~id ~service:_ ~runnable =

@@ -11,8 +11,9 @@
     {- [arrive] announces that a client is runnable (first time or after
        blocking). Per-client scheduler state (e.g. SFQ's finish tag)
        persists across blocked periods.}
-    {- [select] picks the client to run next and marks it "in service".
-       Exactly one [charge] must follow each successful [select].}
+    {- [select] picks the client to run next and marks it "in service",
+       or returns [-1] when no client is runnable. Exactly one [charge]
+       must follow each successful [select].}
     {- [charge] reports the *actual* service received (the paper's quantum
        length [l], measured here in nanoseconds of CPU time) and whether
        the client is still runnable.}
@@ -44,9 +45,11 @@ module type FAIR = sig
 
   val set_weight : t -> id:int -> weight:float -> unit
 
-  val select : t -> int option
-  (** Choose the next client to serve; [None] iff no client is runnable.
-      The chosen client is "in service" until the matching [charge]. *)
+  val select : t -> int
+  (** Choose the next client to serve; [-1] iff no client is runnable.
+      The chosen client is "in service" until the matching [charge].
+      This is the one selection entry point: it allocates nothing, so
+      the kernel's dispatch loop and tests call the same function. *)
 
   val charge : t -> id:int -> service:float -> runnable:bool -> unit
   (** Account [service] units to the in-service client [id]; [runnable]

@@ -30,9 +30,6 @@ type config = {
 
 let default_configs =
   [
-    (* [select] deliberately absent from sfq's roots: its [Some id]
-       wrapper is the measured ~2 minor words/decision; the zero-alloc
-       contract is on [select_id]/[charge] and the staged entries. *)
     (* [slot_lookup] (the id->slot hash of the id-keyed entries) and
        [register] (first arrival: slot allocation + table insert) are
        once-per-transition or once-per-lifetime, not per-decision; the
@@ -41,7 +38,7 @@ let default_configs =
        machinery on the depart path. *)
     {
       source = "lib/core/sfq.ml";
-      roots = [ "select_id"; "charge"; "charge_staged"; "arrive_staged" ];
+      roots = [ "select"; "charge"; "charge_staged"; "arrive_staged" ];
       cold = [ "grow"; "slot_lookup"; "register"; "compact"; "free_slot" ];
     };
     (* Same shape one level up: [schedule]'s Some wrapper is the
@@ -84,11 +81,19 @@ let default_configs =
         ];
       cold = [ "grow"; "shrink"; "new_handle" ];
     };
+    (* The fair-queueing tag engine behind WFQ, SCFQ, FQS, stride,
+       round robin, FIFO and Gps_vt: a decision never reaches the
+       id -> slot table ([lookup]/[register] serve arrive/depart/
+       set_weight); [grow]/[alloc_slot] size the columns. *)
+    {
+      source = "lib/sched/fq_engine.ml";
+      roots = [ "select"; "charge" ];
+      cold = [ "grow"; "alloc_slot"; "free_slot"; "lookup"; "register" ];
+    };
     (* The boxed leaf disciplines ported to SoA layouts: their decision
        paths must hold the measured words/decision in BENCH_sched.json
-       (eevdf ~2, lottery ~7, svr4-ts ~0). The [Some id] of the generic
-       FAIR [select] and the per-client Hashtbl lookups are the
-       documented residue (tlint.whitelist). *)
+       (eevdf ~0, lottery ~0, svr4-ts ~0). The per-client Hashtbl
+       lookups are the documented residue (tlint.whitelist). *)
     {
       source = "lib/sched/eevdf.ml";
       roots = [ "select"; "charge" ];

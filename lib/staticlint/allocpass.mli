@@ -7,9 +7,10 @@ type config = {
   cold : string list;  (** slow-path helpers excluded from the walk *)
 }
 
-(** The repo's hot-path contract: sfq select_id/charge, hierarchy
-    schedule/update/setrun/sleep, keyed_heap and event_queue minus their
-    grow/compact slow paths, and the lib/obs record path. *)
+(** The repo's hot-path contract: sfq and the fair-queueing tag engine
+    select/charge, hierarchy schedule/update/setrun/sleep, keyed_heap
+    and event_queue minus their grow/compact slow paths, and the lib/obs
+    record path. *)
 val default_configs : config list
 
 (** Scan one unit against one config (for fixture tests). Unknown roots

@@ -492,10 +492,10 @@ let prop_chain_equals_flat =
         (fun service ->
           let flat_pick =
             match Sfq.select flat with
-            | Some id ->
+            | -1 -> -1
+            | id ->
               Sfq.charge flat ~id ~service ~runnable:true;
               id
-            | None -> -1
           in
           let tree_pick =
             match Hierarchy.schedule t with

@@ -175,6 +175,45 @@ let test_three_heterogeneous_leaves () =
   check_int "svr4 quarter" (Time.seconds 1) c2;
   check_int "edf quarter" (Time.seconds 1) c3
 
+(* ---------------------- allocation contract ----------------------- *)
+
+(* A steady-state decision through a leaf adapter — one sentinel
+   [select_id] and one [charge] — allocates at most the boxed float
+   service argument the adapter hands its FAIR scheduler (2 words). *)
+let words_per_decision (lf : Leaf_sched.t) ~add =
+  let tids = 8 in
+  List.iteri
+    (fun i weight ->
+      add ~tid:i ~weight;
+      lf.enqueue ~now:0 i)
+    (List.init tids (fun i -> [| 0.1; 0.2; 0.7; 0.3; 1. /. 3.; 0.15; 2.5; 1. |].(i)));
+  let now = ref 0 in
+  let cycle () =
+    let tid = lf.select_id ~now:!now in
+    now := !now + 1_000_000;
+    lf.charge ~now:!now tid ~service:1_000_000 ~runnable:true
+  in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+let test_fair_leaf_allocation name (module F : Hsfq_sched.Scheduler_intf.FAIR) () =
+  let module L = Leaf_sched.Fair_leaf (F) in
+  let lf, h = L.make ~rng:(Prng.create 3) ~quantum_hint:1e6 () in
+  let w = words_per_decision lf ~add:(L.add h) in
+  if w > 2.0 then Alcotest.failf "%s: %.3f minor words per decision (budget 2)" name w
+
+let test_gps_leaf_allocation order () =
+  let lf, h = Leaf_sched.Gps_leaf.make ~order ~quantum_hint:1e6 () in
+  let w = words_per_decision lf ~add:(Leaf_sched.Gps_leaf.add h) in
+  if w > 2.0 then Alcotest.failf "%.3f minor words per decision (budget 2)" w
+
 let () =
   Alcotest.run "leaf-adapters"
     [
@@ -199,6 +238,27 @@ let () =
           Alcotest.test_case "stride under the kernel" `Quick
             test_fair_leaf_stride_in_kernel;
         ] );
+      ( "allocation",
+        List.map
+          (fun (name, m) ->
+            Alcotest.test_case (name ^ " decision <= 2 words") `Quick
+              (test_fair_leaf_allocation name m))
+          [
+            ("wfq", (module Hsfq_sched.Wfq : Hsfq_sched.Scheduler_intf.FAIR));
+            ("scfq", (module Hsfq_sched.Scfq));
+            ("fqs", (module Hsfq_sched.Fqs));
+            ("stride", (module Hsfq_sched.Stride));
+            ("round-robin", (module Hsfq_sched.Round_robin));
+            ("fifo", (module Hsfq_sched.Fifo_sched));
+            ("eevdf", (module Hsfq_sched.Eevdf));
+            ("lottery", (module Hsfq_sched.Lottery));
+          ]
+        @ [
+            Alcotest.test_case "gps wfq-rt decision <= 2 words" `Quick
+              (test_gps_leaf_allocation Hsfq_sched.Gps_vt.Finish_tags);
+            Alcotest.test_case "gps fqs-rt decision <= 2 words" `Quick
+              (test_gps_leaf_allocation Hsfq_sched.Gps_vt.Start_tags);
+          ] );
       ( "heterogeneous",
         [
           Alcotest.test_case "three classes, one tree" `Quick

@@ -423,7 +423,7 @@ let metrics_match_oracle ops =
           Ref.arrive r ~id ~weight;
           true
         | 2 | 3 -> (
-          let a = Sfq.select_id q in
+          let a = Sfq.select q in
           match (a, Ref.select r) with
           | -1, None -> true
           | a, Some b when a = b ->

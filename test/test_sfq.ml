@@ -17,9 +17,9 @@ let check_bool = Alcotest.(check bool)
 (* Drive one full quantum: select, assert it is [expect], charge [l]. *)
 let step ?(runnable = true) sfq ~expect ~l =
   match Sfq.select sfq with
-  | Some id when id = expect -> Sfq.charge sfq ~id ~service:l ~runnable
-  | Some id -> Alcotest.failf "expected client %d, got %d" expect id
-  | None -> Alcotest.fail "expected a selection"
+  | -1 -> Alcotest.fail "expected a selection"
+  | id when id = expect -> Sfq.charge sfq ~id ~service:l ~runnable
+  | id -> Alcotest.failf "expected client %d, got %d" expect id
 
 (* ------------------------- unit tests ------------------------------- *)
 
@@ -63,11 +63,11 @@ let test_virtual_time_busy () =
   Sfq.arrive s ~id:2 ~weight:1.;
   check_float "initial vt" 0. (Sfq.virtual_time s);
   match Sfq.select s with
-  | Some id ->
+  | -1 -> Alcotest.fail "selection expected"
+  | id ->
     check_float "vt = start tag in service" (Sfq.start_tag s ~id)
       (Sfq.virtual_time s);
     Sfq.charge s ~id ~service:4. ~runnable:true
-  | None -> Alcotest.fail "selection expected"
 
 let test_virtual_time_idle () =
   let s = Sfq.create () in
@@ -234,10 +234,10 @@ let test_fifo_tie_break_deterministic () =
   let order =
     List.init 5 (fun _ ->
         match Sfq.select s with
-        | Some id ->
+        | -1 -> Alcotest.fail "selection expected"
+        | id ->
           Sfq.charge s ~id ~service:1. ~runnable:true;
-          id
-        | None -> Alcotest.fail "selection expected")
+          id)
   in
   Alcotest.(check (list int)) "FIFO among equal tags" [ 1; 2; 3; 4; 5 ] order
 
@@ -261,8 +261,8 @@ let prop_fairness_bound =
       List.for_all
         (fun l ->
           match Sfq.select s with
-          | None -> false
-          | Some id ->
+          | -1 -> false
+          | id ->
             Sfq.charge s ~id ~service:l ~runnable:true;
             work.(id - 1) <- work.(id - 1) +. l;
             if l > lmax.(id - 1) then lmax.(id - 1) <- l;
@@ -302,8 +302,8 @@ let prop_fairness_bound_n_clients =
       List.for_all
         (fun q ->
           match Sfq.select s with
-          | None -> false
-          | Some id ->
+          | -1 -> false
+          | id ->
             Sfq.charge s ~id ~service:q ~runnable:true;
             work.(id) <- work.(id) +. q;
             if q > lmax.(id) then lmax.(id) <- q;
@@ -320,10 +320,10 @@ let prop_proportional_share =
       let work = [| 0.; 0. |] in
       for _ = 1 to 5000 do
         match Sfq.select s with
-        | Some id ->
+        | -1 -> ()
+        | id ->
           Sfq.charge s ~id ~service:1. ~runnable:true;
           work.(id - 1) <- work.(id - 1) +. 1.
-        | None -> ()
       done;
       let expected = w1 /. w2 in
       let actual = work.(0) /. work.(1) in
@@ -343,8 +343,8 @@ let prop_virtual_time_monotonic =
           (* [op] names the client that blocks after the next quantum
              and is then woken again — exercising idle transitions. *)
           (match Sfq.select s with
-          | Some id -> Sfq.charge s ~id ~service:2. ~runnable:(id <> op)
-          | None -> ());
+          | -1 -> ()
+          | id -> Sfq.charge s ~id ~service:2. ~runnable:(id <> op));
           Sfq.arrive s ~id:op ~weight:1.;
           let vt = Sfq.virtual_time s in
           let ok = vt >= !prev in
@@ -368,14 +368,14 @@ let prop_work_conserving =
           if Sfq.backlogged s <> n then false
           else begin
             match Sfq.select s with
-            | Some id ->
+            | -1 -> n = 0
+            | id ->
               (* The selected client blocks when it matches [i] and the
                  coin came up tails. *)
               let still = wake || i <> id in
               Sfq.charge s ~id ~service:1. ~runnable:still;
               if not still then runnable.(id) <- false;
               true
-            | None -> n = 0
           end)
         ops)
 
@@ -390,10 +390,10 @@ let test_long_run_no_drift () =
   let work = [| 0.; 0. |] in
   for _ = 1 to 1_000_000 do
     match Sfq.select s with
-    | Some id ->
+    | -1 -> Alcotest.fail "selection expected"
+    | id ->
       Sfq.charge s ~id ~service:q ~runnable:true;
       work.(id - 1) <- work.(id - 1) +. q
-    | None -> Alcotest.fail "selection expected"
   done;
   let ratio = work.(1) /. work.(0) in
   check_bool "exact 1:3 after 1M quanta" true (Float.abs (ratio -. 3.) < 1e-6);
@@ -422,12 +422,12 @@ let prop_donations_revocable =
       List.for_all
         (fun _ ->
           match Sfq.select s with
-          | Some id ->
+          | -1 -> false
+          | id ->
             let start = Sfq.start_tag s ~id in
             Sfq.charge s ~id ~service:(float_of_int (id + 1)) ~runnable:true;
             (* service = weight, so the finish tag moves exactly 1. *)
-            Float.abs (Sfq.finish_tag s ~id -. (start +. 1.)) < 1e-9
-          | None -> false)
+            Float.abs (Sfq.finish_tag s ~id -. (start +. 1.)) < 1e-9)
         [ (); (); (); (); (); (); (); () ])
 
 (* Theorem 1 proper: the unfairness bound holds over EVERY window in
@@ -453,11 +453,11 @@ let prop_windowed_unfairness =
       List.iter
         (fun l ->
           (match Sfq.select s with
-          | Some id ->
+          | -1 -> ()
+          | id ->
             Sfq.charge s ~id ~service:l ~runnable:true;
             work.(id - 1) <- work.(id - 1) +. l;
-            if l > !lmax then lmax := l
-          | None -> ());
+            if l > !lmax then lmax := l);
           hist := (work.(0), work.(1)) :: !hist)
         quanta;
       let pts = Array.of_list (List.rev !hist) in
@@ -492,11 +492,11 @@ let prop_audited_never_trips =
           | 0 | 1 -> A.arrive s ~id ~weight:(float_of_int (1 + (id mod 4)))
           | 2 -> (
             match A.select s with
-            | Some sel ->
+            | -1 -> ()
+            | sel ->
               A.charge s ~id:sel
                 ~service:(float_of_int (1 + id))
-                ~runnable:(id mod 2 = 0)
-            | None -> ())
+                ~runnable:(id mod 2 = 0))
           | 3 -> if A.mem s ~id then A.block s ~id
           | 4 -> if A.mem s ~id then A.set_weight s ~id ~weight:(float_of_int id)
           | 5 ->
@@ -553,13 +553,13 @@ let differential_agrees ops =
               true
             | 2 -> (
               match (A.select s, R.select r) with
-              | Some a, Some b when a = b ->
+              | -1, None -> true
+              | a, Some b when a = b ->
                 let service = float_of_int (1 + id) in
                 let runnable = id mod 2 = 0 in
                 A.charge s ~id:a ~service ~runnable;
                 R.charge r ~id:b ~service ~runnable;
                 true
-              | None, None -> true
               | _ -> false (* selections diverged *))
             | 3 ->
               if A.mem s ~id then begin
@@ -602,9 +602,9 @@ let prop_matches_naive_reference =
     differential_agrees
 
 (* The same oracle against the allocation-free protocol: the kernel's
-   dispatch loop never calls [select]/[arrive]/[charge] — it calls
-   [select_id] (sentinel -1 for "no client") with the float payloads
-   written through [stage_cell]. Drive that exact shape against the
+   dispatch loop never calls [arrive]/[charge] — it calls [select]
+   (sentinel -1 for "no client") with the float payloads written
+   through [stage_cell]. Drive that exact shape against the
    naive reference so the unboxed entry points are pinned to the same
    specification as the boxed ones, not just assumed equivalent. *)
 let staged_differential_agrees ops =
@@ -638,7 +638,7 @@ let staged_differential_agrees ops =
           R.arrive r ~id ~weight;
           true
         | 2 -> (
-          let a = Sfq.select_id s in
+          let a = Sfq.select s in
           match (a, R.select r) with
           | -1, None -> true
           | a, Some b when a = b ->
@@ -747,10 +747,10 @@ let prop_churn_storm_matches_reference =
         R.depart r ~id;
         if k mod 256 = 0 then
           match (Sfq.select s, R.select r) with
-          | Some a, Some b when a = b ->
+          | -1, None -> ()
+          | a, Some b when a = b ->
             Sfq.charge s ~id:a ~service:1. ~runnable:true;
             R.charge r ~id:a ~service:1. ~runnable:true
-          | None, None -> ()
           | _ -> ok := false
       done;
       ok := !ok && Sfq.backlogged s = R.backlogged r;
@@ -768,7 +768,7 @@ let prop_churn_storm_matches_reference =
       (* Post-storm decisions through the compacted table still agree. *)
       for _ = 1 to 200 do
         match (Sfq.select s, R.select r) with
-        | Some a, Some b when a = b ->
+        | a, Some b when a = b ->
           Sfq.charge s ~id:a ~service:1. ~runnable:true;
           R.charge r ~id:a ~service:1. ~runnable:true
         | _ -> ok := false
@@ -794,8 +794,8 @@ let test_capacity_tracks_churn () =
   (* One decision lets the lazy heap discard the stale majority it still
      queues for the departed clients (and release their arrays). *)
   (match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service:1. ~runnable:true
-  | None -> Alcotest.fail "expected a runnable client");
+  | -1 -> Alcotest.fail "expected a runnable client"
+  | id -> Sfq.charge s ~id ~service:1. ~runnable:true);
   let cap_small = Sfq.capacity s in
   check_bool "capacity released" true (cap_small < cap_full);
   check_bool "capacity still covers live" true
@@ -806,8 +806,8 @@ let test_capacity_tracks_churn () =
   done;
   check_bool "capacity regrows" true (Sfq.capacity s >= 4096);
   match Sfq.select s with
-  | Some id -> Sfq.charge s ~id ~service:1. ~runnable:true
-  | None -> Alcotest.fail "expected a runnable client after regrowth"
+  | -1 -> Alcotest.fail "expected a runnable client after regrowth"
+  | id -> Sfq.charge s ~id ~service:1. ~runnable:true
 
 (* Slot remapping under audit: slots cached through {!Sfq.slot_of_id}
    must be kept coherent by the on-remap callback across a compaction
@@ -845,10 +845,10 @@ let test_remap_keeps_slots_dispatchable () =
     cached;
   for _ = 1 to 200 do
     match A.select s with
-    | Some id ->
+    | -1 -> Alcotest.fail "survivors must stay schedulable"
+    | id ->
       check_int "selection is a survivor" 0 (id mod 64);
       A.charge s ~id ~service:1. ~runnable:true
-    | None -> Alcotest.fail "survivors must stay schedulable"
   done;
   check_int "no invariant violations" 0 (Hsfq_check.Invariant.count sink)
 
