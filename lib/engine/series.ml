@@ -9,18 +9,25 @@ let create ?(name = "") () = { name; ts = [||]; vs = [||]; n = 0 }
 
 let name t = t.name
 
-let add t time v =
+let grow t =
   let cap = Array.length t.ts in
-  if t.n >= cap then begin
-    let ncap = if cap = 0 then 64 else cap * 2 in
-    let nts = Array.make ncap Time.zero and nvs = Array.make ncap 0. in
-    Array.blit t.ts 0 nts 0 t.n;
-    Array.blit t.vs 0 nvs 0 t.n;
-    t.ts <- nts;
-    t.vs <- nvs
-  end;
+  let ncap = if cap = 0 then 64 else cap * 2 in
+  let nts = Array.make ncap Time.zero and nvs = Array.make ncap 0. in
+  Array.blit t.ts 0 nts 0 t.n;
+  Array.blit t.vs 0 nvs 0 t.n;
+  t.ts <- nts;
+  t.vs <- nvs
+
+let add t time v =
+  if t.n >= Array.length t.ts then grow t;
   t.ts.(t.n) <- time;
   t.vs.(t.n) <- v;
+  t.n <- t.n + 1
+
+let add_int t time v =
+  if t.n >= Array.length t.ts then grow t;
+  t.ts.(t.n) <- time;
+  t.vs.(t.n) <- float_of_int v;
   t.n <- t.n + 1
 
 let length t = t.n

@@ -9,6 +9,11 @@ type t
 val create : ?name:string -> unit -> t
 val name : t -> string
 val add : t -> Time.t -> float -> unit
+
+val add_int : t -> Time.t -> int -> unit
+(** [add t time (float_of_int v)] without boxing the value: per-quantum
+    callers with integer samples (nanoseconds) allocate nothing. *)
+
 val length : t -> int
 val times : t -> Time.t array
 val values : t -> float array

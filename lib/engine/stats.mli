@@ -8,6 +8,11 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
+
+val add_int : t -> int -> unit
+(** [add t (float_of_int i)] without boxing the sample: per-quantum
+    callers with integer samples (nanoseconds) allocate nothing. *)
+
 val count : t -> int
 val mean : t -> float
 (** 0. when empty. *)

@@ -473,8 +473,8 @@ let rec end_dispatch t c d now disposition =
   Hierarchy.update_ns t.hier ~leaf:d.d_leaf ~service_ns:service ~leaf_runnable;
   th.total_cpu <- th.total_cpu + service;
   if service > 0 then begin
-    Series.add th.cpu now (float_of_int service);
-    Series.add t.wseries now (float_of_int service)
+    Series.add_int th.cpu now service;
+    Series.add_int t.wseries now service
   end;
   obs_emit t ~code:Hsfq_obs.Trace.ev_quantum_end ~a:d.d_tid ~b:d.d_leaf
     ~c:service
@@ -728,8 +728,8 @@ and dispatch_cpu t c =
       assert (th.work_left > 0);
       if th.awaiting_dispatch then begin
         let lat = Time.diff now th.last_wake in
-        Stats.add th.latency (float_of_int lat);
-        Series.add th.lat_series now (float_of_int lat);
+        Stats.add_int th.latency lat;
+        Series.add_int th.lat_series now lat;
         (match t.obs with
         | Some s when Hsfq_obs.Trace.on s ->
           let m = Hsfq_obs.Trace.metrics s in

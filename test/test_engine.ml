@@ -785,6 +785,48 @@ let test_event_queue_reference_through_shrinks () =
   in
   check_bool "capacity shrank" true (run_eq_ops ops >= 2)
 
+(* Integer-sample adds: the same bits as [add (float_of_int i)], and no
+   allocation per sample once the series has grown. *)
+let test_int_samples () =
+  let a = Stats.create () and b = Stats.create () in
+  let sa = Series.create () and sb = Series.create () in
+  List.iteri
+    (fun i v ->
+      Stats.add a (float_of_int v);
+      Stats.add_int b v;
+      Series.add sa i (float_of_int v);
+      Series.add_int sb i v)
+    [ 3; 1_000_000; 7; 0; 123_456_789; 42; 999_999_937 ];
+  let bits x = Int64.bits_of_float x in
+  List.iter
+    (fun (name, f) -> Alcotest.(check int64) name (bits (f a)) (bits (f b)))
+    [
+      ("mean", Stats.mean); ("variance", Stats.variance); ("min", Stats.min_value);
+      ("max", Stats.max_value); ("total", Stats.total);
+    ];
+  Alcotest.(check (array (float 0.))) "series values" (Series.values sa) (Series.values sb);
+  let s = Stats.create () and r = Series.create () in
+  for i = 0 to 255 do
+    Series.add_int r i i
+  done;
+  let n = 100_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to n do
+    Stats.add_int s i
+  done;
+  let w1 = Gc.minor_words () in
+  for i = 0 to 255 do
+    Series.add_int r (256 + i) i
+  done;
+  let w2 = Gc.minor_words () in
+  check_bool
+    (Printf.sprintf "Stats.add_int allocates nothing (%.0f words / %d adds)" (w1 -. w0) n)
+    true (w1 -. w0 < 64.);
+  (* 256 appends double the 256-slot arrays once: two 512-slot columns. *)
+  check_bool
+    (Printf.sprintf "Series.add_int allocates only on growth (%.0f words)" (w2 -. w1))
+    true (w2 -. w1 < 1100.)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -854,6 +896,7 @@ let () =
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "jain index" `Quick test_jain;
           qc prop_stats_matches_naive;
+          Alcotest.test_case "integer samples" `Quick test_int_samples;
         ] );
       ( "histogram",
         [
