@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint check bench bench-smoke bench-diff sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke figures examples regen-golden clean
+.PHONY: all build test lint check bench bench-smoke bench-diff sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke perfbench-smoke figures examples regen-golden clean
 
 all: build
 
@@ -17,8 +17,8 @@ lint:
 	dune build @lint @lint-typed
 
 # Tier-1 verification: strict build + tests + lint + bench, sim-speed,
-# torture and parallel-sweep smoke passes.
-check: build test lint bench-smoke sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke
+# torture, parallel-sweep and perfbench smoke passes.
+check: build test lint bench-smoke sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke perfbench-smoke
 
 # Full harness: regenerate every paper figure + micro-benchmarks.
 bench:
@@ -71,6 +71,14 @@ torture-smoke:
 # so both fan-out substrates stay wired from the CLI down.
 sweep-smoke:
 	dune build @sweep-smoke
+
+# The simulator benchmark (perfbench/, its own dune project) compiles
+# against the libraries' interfaces — Scheduler_intf.FAIR, Leaf_sched,
+# Hierarchy — and nothing else in `make check` builds it.  Its toy-size
+# self-test builds the harness and runs every workload twice, asserting
+# the replays, the layer sum and repeatable outcomes.
+perfbench-smoke:
+	dune build @perfbench/test/selftest
 
 # Regenerate the golden trace dumps (test/golden/*.trace) after an
 # intentional change to the event schema, the exporters or the traced

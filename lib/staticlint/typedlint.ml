@@ -48,12 +48,18 @@ let bench_budgets =
   [
     (* name, max minor_words_per_decision consistent with the typed
        pass's findings + whitelist *)
-    ("sfq/Q=512", 4.0); (* Some-wrapper in [select]: ~2 words measured *)
+    ("sfq/Q=512", 1.0); (* sentinel [select] + staged charge: ~0 measured *)
     ("hierarchy/depth=16", 2.0); (* schedule_id/update_ns: ~0 measured *)
     ("keyed-heap/push+pop n=256", 1.0); (* zero-alloc contract *)
     ("event-queue/churn n=256", 64.0); (* fired-handle recycling keeps ~4 *)
-    ("eevdf/Q=8", 4.0); (* SoA cells: ~2 (the Some of FAIR select) *)
-    ("lottery/Q=8", 6.0); (* staged draw cell: ~5 (down from ~7 boxed) *)
+    ("eevdf/Q=8", 1.0); (* SoA cells, sentinel FAIR select: ~0 *)
+    ("lottery/Q=8", 1.0); (* staged draw cell, sentinel select: ~0 *)
+    (* The tag engine's instances (Fq_engine): no hashing, no boxing. *)
+    ("wfq/Q=8", 1.0);
+    ("scfq/Q=8", 1.0);
+    ("fqs/Q=8", 1.0);
+    ("stride/Q=8", 1.0);
+    ("round-robin/Q=8", 1.0);
     ("svr4-ts/Q=8", 2.0); (* ring deques + select_id: ~0 measured *)
   ]
 
