@@ -91,7 +91,7 @@ let fair_decision_micro (module F : Sched.Scheduler_intf.FAIR) ~group ~q =
       (fun () ->
         match F.select t with
         | -1 -> invalid_arg "bench: empty ready set"
-        | id -> F.charge t ~id ~service:2e7 ~runnable:true);
+        | id -> F.charge t ~id ~service:20_000_000 ~runnable:true);
   }
 
 let sfq_decision_micro ~q =
@@ -106,7 +106,7 @@ let sfq_decision_micro ~q =
       (fun () ->
         match Core.Sfq.select t with
         | -1 -> invalid_arg "bench: empty ready set"
-        | id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true);
+        | id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true);
   }
 
 (* A full hierarchical scheduling decision (schedule + update) through a
@@ -165,7 +165,7 @@ let obs_sfq_micro ~q ~enabled =
       (fun () ->
         match Core.Sfq.select t with
         | -1 -> invalid_arg "bench: empty ready set"
-        | id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true);
+        | id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true);
   }
 
 let obs_hierarchy_micro ~depth ~enabled =
@@ -200,10 +200,11 @@ let obs_hierarchy_micro ~depth ~enabled =
         depth;
     fn =
       (fun () ->
-        match Core.Hierarchy.schedule h with
-        | Some leaf ->
-          Core.Hierarchy.update h ~leaf ~service:2e7 ~leaf_runnable:true
-        | None -> invalid_arg "bench: no runnable leaf");
+        match Core.Hierarchy.schedule_id h with
+        | -1 -> invalid_arg "bench: no runnable leaf"
+        | leaf ->
+          Core.Hierarchy.update_ns h ~leaf ~service_ns:20_000_000
+            ~leaf_runnable:true);
   }
 
 (* SVR4 TS select+charge on a preloaded run queue. *)
@@ -784,7 +785,7 @@ let sfq_scale_row ~q ~decisions mix =
     time_decisions ~n:decisions (fun () ->
         match Core.Sfq.select t with
         | -1 -> invalid_arg "scale: empty ready set"
-        | id -> Core.Sfq.charge t ~id ~service:2e7 ~runnable:true)
+        | id -> Core.Sfq.charge t ~id ~service:20_000_000 ~runnable:true)
   in
   let end_words = Core.Sfq.footprint_words t in
   sample ();

@@ -82,7 +82,7 @@ module Make (F : Scheduler_intf.FAIR) = struct
   let charge t ~id ~service ~runnable =
     F.charge t.f ~id ~service ~runnable;
     let event =
-      Printf.sprintf "charge id=%d l=%g runnable=%b" id service runnable
+      Printf.sprintf "charge id=%d l=%d runnable=%b" id service runnable
     in
     Invariant.check t.sink ~invariant:"work-conserving" ~node:t.node ~event
       (t.pending = Some id)

@@ -48,7 +48,7 @@ module Sfq : sig
   val depart : t -> id:int -> unit
   val set_weight : t -> id:int -> weight:float -> unit
   val select : t -> int
-  val charge : t -> id:int -> service:float -> runnable:bool -> unit
+  val charge : t -> id:int -> service:int -> runnable:bool -> unit
   val block : t -> id:int -> unit
   val donate : t -> blocked:int -> recipient:int -> unit
   val revoke : t -> blocked:int -> unit

@@ -8,7 +8,7 @@ type ops = {
   depart : id:int -> unit;
   set_weight : id:int -> weight:float -> unit;
   select : now:int -> int; (* -1 = none *)
-  charge : now:int -> id:int -> service:float -> runnable:bool -> unit;
+  charge : now:int -> id:int -> service:int -> runnable:bool -> unit;
   backlogged : unit -> int;
   virtual_time : now:int -> float;
 }
@@ -60,7 +60,7 @@ let dyadic = [ 1.; 2.; 4.; 0.5; 0.25; 3. ]
 let fractional = [ 0.1; 0.2; 0.7; 0.3; 1. /. 3.; 0.15; 2.5 ]
 
 (* Full hint-length quanta dominate so equal weights produce tag ties. *)
-let services = [ 1e7; 1e7; 1e7; 5e6; 2.5e6; 1e6; 3e6 ]
+let services = [ 10_000_000; 10_000_000; 10_000_000; 5_000_000; 2_500_000; 1_000_000; 3_000_000 ]
 let ids = 6
 let steps = 3000
 
@@ -94,7 +94,7 @@ let run d ~weights ~seed =
       else begin
         let service = Prng.choice rng services in
         let runnable = Prng.int rng 4 <> 0 in
-        now := !now + int_of_float service;
+        now := !now + service;
         let c = !svc in
         svc := -1;
         guarded

@@ -18,7 +18,7 @@ type ops = {
   depart : id:int -> unit;
   set_weight : id:int -> weight:float -> unit;
   select : now:int -> int;  (** [-1] = nothing runnable *)
-  charge : now:int -> id:int -> service:float -> runnable:bool -> unit;
+  charge : now:int -> id:int -> service:int -> runnable:bool -> unit;
   backlogged : unit -> int;
   virtual_time : now:int -> float;
 }

@@ -129,10 +129,10 @@ let charge t ~id ~service ~runnable =
   (match t.in_service with
   | Some s when s = id -> ()
   | _ -> invalid_arg "Sfq_reference.charge: client not in service");
-  if service < 0. then invalid_arg "Sfq_reference.charge: negative service";
+  if service < 0 then invalid_arg "Sfq_reference.charge: negative service";
   t.in_service <- None;
   let c = get t id in
-  c.finish <- c.start +. (service /. (c.weight +. c.donated));
+  c.finish <- c.start +. (float_of_int service /. (c.weight +. c.donated));
   if c.finish > t.max_finish then t.max_finish <- c.finish;
   if runnable then begin
     c.start <- Float.max t.vt c.finish;

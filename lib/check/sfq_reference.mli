@@ -22,7 +22,7 @@ val select : t -> int option
 (** Linear scan for the least (start tag, enqueue order) runnable
     client. Must be followed by exactly one {!charge}. *)
 
-val charge : t -> id:int -> service:float -> runnable:bool -> unit
+val charge : t -> id:int -> service:int -> runnable:bool -> unit
 val block : t -> id:int -> unit
 val donate : t -> blocked:int -> recipient:int -> unit
 val revoke : t -> blocked:int -> unit

@@ -41,7 +41,7 @@ let snapshot_vt s = s.svt
 type event =
   | Arrive of { id : int; weight : float }
   | Select of int option
-  | Charge of { id : int; service : float; runnable : bool }
+  | Charge of { id : int; service : int; runnable : bool }
   | Block of int
   | Depart of int
   | Set_weight of { id : int; weight : float }
@@ -54,7 +54,7 @@ let event_to_string = function
   | Select None -> "select -> none"
   | Select (Some id) -> Printf.sprintf "select -> id=%d" id
   | Charge { id; service; runnable } ->
-    Printf.sprintf "charge id=%d l=%g runnable=%b" id service runnable
+    Printf.sprintf "charge id=%d l=%d runnable=%b" id service runnable
   | Block id -> Printf.sprintf "block id=%d" id
   | Depart id -> Printf.sprintf "depart id=%d" id
   | Donate { blocked; recipient } ->
@@ -234,10 +234,10 @@ let check_transition ?(node = "sfq") sink ~pre t ev =
     | None -> chk "charge-finish-tag" false "charged unknown client %d" id
     | Some c ->
       (* F = S + l / effective weight (rule 1 + §4 donation). *)
-      let expect = c.cstart +. (service /. c.ceff) in
+      let expect = c.cstart +. (float_of_int service /. c.ceff) in
       let finish = Sfq.finish_tag t ~id in
       chk "charge-finish-tag" (feq finish expect)
-        "F=%g, expected S + l/w = %g + %g/%g = %g" finish c.cstart service
+        "F=%g, expected S + l/w = %g + %d/%g = %g" finish c.cstart service
         c.ceff expect;
       chk "max-finish-bound"
         (Sfq.max_finish_tag t >= finish)

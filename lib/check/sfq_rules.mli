@@ -27,7 +27,7 @@ val snapshot_vt : snapshot -> float
 type event =
   | Arrive of { id : int; weight : float }
   | Select of int option  (** the selection result *)
-  | Charge of { id : int; service : float; runnable : bool }
+  | Charge of { id : int; service : int; runnable : bool }
   | Block of int
   | Depart of int
   | Set_weight of { id : int; weight : float }

@@ -2,11 +2,13 @@ type id = int
 type kind = Leaf | Internal
 
 (* Nodes cache a direct reference to their parent (and every internal
-   node owns its SFQ directly), so the kernel entry points — [schedule],
-   [update], [setrun], [sleep] — walk the tree through pointers: no
-   hashing, and no allocation in steady state. The id -> node map is a
-   dense array indexed by id, used only where the API hands us a bare
-   id.
+   node owns its SFQ directly), so the kernel entry points —
+   [schedule_id], [update_ns], [setrun], [sleep] — walk the tree through
+   pointers, with no allocation in steady state. A decision does no
+   hashing either; a wake or sleep pays one allocation-free lookup per
+   level, where the parent SFQ finds the child's slot. The id -> node
+   map is a dense array indexed by id, used only where the API hands us
+   a bare id.
 
    Ids of removed nodes are recycled through a min-first pool: reuse
    concentrates live ids low, so under sustained mknod/rmnod churn the
@@ -22,11 +24,6 @@ type node = {
   mutable weight : float;
   mutable runnable : bool;
   sfq : Sfq.t option; (* child scheduler; [Some] iff internal *)
-  mutable pslot : int;
-      (* this node's slot in the parent's SFQ (-1 for the root), cached
-         so the per-decision walks ([setrun]/[sleep]/[update]) never
-         hash an id; kept fresh across SFQ compactions by the
-         [Sfq.set_on_remap] subscription installed at node creation *)
   mutable children : id list; (* reverse creation order *)
   mutable by_name : (string, id) Hashtbl.t option;
       (* [Some] iff internal ([parse]/[mknod] only, never hot); leaves
@@ -44,12 +41,6 @@ type t = {
   mutable next_id : id;
   pool : pool; (* freed ids below [next_id], smallest first *)
   mutable count : int;
-  fstage : float array;
-      (* 1 cell: the service being charged by [update]/[update_ns].  The
-         walk-up loop reads it per level and stores it into the parent
-         SFQ's stage cell — float-array loads/stores stay unboxed where a
-         float argument to a cross-module call would box under the dev
-         profile's [-opaque]. *)
   (* Observation point for the invariant audit (Hsfq_check): called after
      every transition of an internal node's SFQ, with that node's id.
      Must not mutate the hierarchy. *)
@@ -82,7 +73,6 @@ let make_node ~nid ~comp ~parent ~weight kind =
     weight;
     runnable = false;
     sfq = (match kind with Internal -> Some (Sfq.create ()) | Leaf -> None);
-    pslot = -1;
     children = [];
     by_name =
       (match kind with
@@ -140,40 +130,18 @@ let pool_pop p =
     top
   end
 
-(* Keep each internal node's child slots fresh: the SFQ reports every
-   live client's slot after a compaction, and clients of a hierarchy SFQ
-   are exactly the child node ids. *)
-let install_remap t n =
-  match n.sfq with
-  | None -> ()
-  | Some s ->
-    Sfq.set_on_remap s
-      (Some
-         (fun ~id ~slot ->
-           match
-             if id >= 0 && id < Array.length t.nodes then t.nodes.(id)
-             else None
-           with
-           | Some c -> c.pslot <- slot
-           | None -> ()))
-
 let create () =
   let nodes = Array.make 16 None in
   nodes.(root) <-
     Some (make_node ~nid:root ~comp:"" ~parent:None ~weight:1.0 Internal);
-  let t =
-    {
-      nodes;
-      next_id = 1;
-      pool = { heap = [||]; n = 0 };
-      count = 1;
-      fstage = Array.make 1 0.;
-      audit_hook = None;
-      obs = None;
-    }
-  in
-  (match nodes.(root) with Some r -> install_remap t r | None -> ());
-  t
+  {
+    nodes;
+    next_id = 1;
+    pool = { heap = [||]; n = 0 };
+    count = 1;
+    audit_hook = None;
+    obs = None;
+  }
 
 let unknown id = invalid_arg (Printf.sprintf "Hierarchy: unknown node %d" id)
 
@@ -283,13 +251,11 @@ let mknod t ~name ~parent ~weight kind =
       t.count <- t.count + 1;
       p.children <- nid :: p.children;
       Hashtbl.replace (names_of p) name nid;
-      install_remap t n;
       (* Pre-register the child in the parent's SFQ (arrive + block) so
          weight administration works before the node first runs. *)
       let psfq = sfq_of p in
       Sfq.arrive psfq ~id:nid ~weight;
       Sfq.block psfq ~id:nid;
-      n.pslot <- Sfq.slot_of_id psfq ~id:nid;
       audited t ~node:parent ~event:"mknod";
       (match t.obs with
       | None -> ()
@@ -424,10 +390,9 @@ let start_tag_of t id =
 
 (* The kernel entry points below run once per scheduling decision, so
    their tree walks are top-level recursive functions — a [let rec]
-   local to the entry point would allocate a closure per call — and all
-   float traffic into [Sfq] goes through the staging cells ([_staged]
-   entry points) rather than float arguments, which box under the dev
-   profile's [-opaque]. *)
+   local to the entry point would allocate a closure per call. Nothing
+   they pass to [Sfq] is a freshly computed float: the weight is the
+   node's (already boxed) field and the service an [int]. *)
 
 (* Mark [n] runnable and walk up, stopping at the first ancestor that was
    already runnable (paper: hsfq_setrun). *)
@@ -437,9 +402,7 @@ let rec setrun_up t n =
     match n.parent with
     | None -> ()
     | Some p ->
-      let psfq = sfq_of p in
-      (Sfq.stage_cell psfq).(0) <- n.weight;
-      Sfq.arrive_slot_staged psfq ~slot:n.pslot;
+      Sfq.arrive (sfq_of p) ~id:n.nid ~weight:n.weight;
       audited t ~node:p.nid ~event:"setrun";
       obs_emit t ~code:Hsfq_obs.Trace.ev_node_setrun ~a:p.nid ~b:n.nid ~c:0;
       setrun_up t p
@@ -456,7 +419,7 @@ let rec sleep_up t n =
     | None -> ()
     | Some p ->
       let psfq = sfq_of p in
-      Sfq.block_slot psfq ~slot:n.pslot;
+      Sfq.block psfq ~id:n.nid;
       audited t ~node:p.nid ~event:"sleep";
       obs_emit t ~code:Hsfq_obs.Trace.ev_node_sleep ~a:p.nid ~b:n.nid ~c:0;
       if Sfq.backlogged psfq = 0 then sleep_up t p
@@ -493,7 +456,7 @@ let schedule_id t =
 
 (* Multiprocessor dispatch: allow [p] concurrent root->leaf decision
    paths. Claims are taken level by level as [schedule_id] descends and
-   released bottom-up by [update]'s walk, so two paths can only ever
+   released bottom-up by [update_ns]'s walk, so two paths can only ever
    contend at the root — every deeper node is reached by at most one
    path at a time (its parent's claim on it is exclusive). Raising the
    root scheduler's claim capacity is therefore sufficient, and leaving
@@ -505,33 +468,19 @@ let set_servers t p =
 
 let servers t = Sfq.servers (sfq_of (node t root))
 
-let schedule t =
-  let leaf = schedule_id t in
-  if leaf < 0 then None else Some leaf
-
-(* Charge the service staged in [t.fstage] up the tree.  Reading the
-   staged value per level and storing it into the parent SFQ's staging
-   cell keeps the float unboxed end to end. *)
-let rec update_up t n runnable_child =
+let rec update_up t n service runnable_child =
   n.runnable <- runnable_child;
   match n.parent with
   | None -> ()
   | Some p ->
     let psfq = sfq_of p in
-    (Sfq.stage_cell psfq).(0) <- t.fstage.(0);
-    Sfq.charge_slot_staged psfq ~slot:n.pslot ~runnable:runnable_child;
+    Sfq.charge psfq ~id:n.nid ~service ~runnable:runnable_child;
     audited t ~node:p.nid ~event:"charge";
-    update_up t p (Sfq.backlogged psfq > 0)
-
-let update t ~leaf ~service ~leaf_runnable =
-  if service < 0. then invalid_arg "Hierarchy.update: negative service";
-  t.fstage.(0) <- service;
-  update_up t (node t leaf) leaf_runnable
+    update_up t p service (Sfq.backlogged psfq > 0)
 
 let update_ns t ~leaf ~service_ns ~leaf_runnable =
   if service_ns < 0 then invalid_arg "Hierarchy.update_ns: negative service";
-  t.fstage.(0) <- float_of_int service_ns;
-  update_up t (node t leaf) leaf_runnable
+  update_up t (node t leaf) service_ns leaf_runnable
 
 let donate t ~blocked ~recipient =
   if blocked = recipient then Error "donate: self-donation"

@@ -8,11 +8,12 @@
 
     The operations mirror the paper's system calls:
     [mknod]/[parse]/[rmnod]/weight administration ([hsfq_admin]), and the
-    kernel-side entry points [schedule] (paper: [hsfq_schedule]), [update]
-    ([hsfq_update]), [setrun] ([hsfq_setrun]) and [sleep] ([hsfq_sleep]).
+    kernel-side entry points [schedule_id] (paper: [hsfq_schedule]),
+    [update_ns] ([hsfq_update]), [setrun] ([hsfq_setrun]) and [sleep]
+    ([hsfq_sleep]).
 
     Invariant: a node is runnable iff some leaf in its subtree is
-    runnable; [setrun]/[sleep]/[update] maintain this with the paper's
+    runnable; [setrun]/[sleep]/[update_ns] maintain this with the paper's
     walk-up-until-no-change optimization. *)
 
 type t
@@ -128,29 +129,23 @@ val sleep : t -> id -> unit
 (** The leaf's last thread stopped being runnable while the leaf was
     {e not} in service (e.g. its only thread was moved away). The common
     blocked-while-running case is handled by
-    [update ~leaf_runnable:false]. *)
-
-val schedule : t -> id option
-(** Select the leaf to serve next: from the root, repeatedly pick the
-    runnable child with the smallest start tag. [None] iff no leaf is
-    runnable. Each successful [schedule] must be followed by exactly one
-    [update] for the returned leaf. *)
+    [update_ns ~leaf_runnable:false]. *)
 
 val schedule_id : t -> id
-(** Allocation-free [schedule]: the selected leaf's id, or [-1] iff no
-    leaf is runnable {e and reachable} — with several decision paths
-    outstanding (see {!set_servers}), every runnable root subtree may
-    already be claimed. Same contract otherwise — each successful
-    [schedule_id] must be followed by exactly one update. The kernel
-    dispatch loop uses this together with {!update_ns} to keep a
-    hierarchical decision free of minor allocation. *)
+(** Select the leaf to serve next: from the root, repeatedly pick the
+    runnable child with the smallest start tag. Returns the leaf's id,
+    or [-1] iff no leaf is runnable {e and reachable} — with several
+    decision paths outstanding (see {!set_servers}), every runnable root
+    subtree may already be claimed. Each successful [schedule_id] must
+    be followed by exactly one {!update_ns} for the returned leaf.
+    Allocates nothing. *)
 
 val set_servers : t -> int -> unit
-(** Allow up to [p] outstanding [schedule]/[update] decision pairs, for
+(** Allow up to [p] outstanding [schedule_id]/[update_ns] decision pairs, for
     multiprocessor dispatch. Only the root scheduler's claim capacity is
     raised: claims release bottom-up, so concurrent decision paths can
     contend only at the root, and each path owns its whole root subtree
-    until its [update]. Consequently a single root child subtree serves
+    until its [update_ns]. Consequently a single root child subtree serves
     at most one CPU at a time — multiprocessor topologies should give
     the root at least [p] children. Raises if [p < 1] or below the
     current number of outstanding decisions. *)
@@ -158,17 +153,12 @@ val set_servers : t -> int -> unit
 val servers : t -> int
 (** Current root claim capacity (1 unless {!set_servers} raised it). *)
 
-val update : t -> leaf:id -> service:float -> leaf_runnable:bool -> unit
-(** Charge [service] (CPU nanoseconds) for the quantum just executed by a
-    thread of [leaf]: updates finish/start tags of the leaf and all its
-    ancestors, and propagates un-runnability upward when
-    [leaf_runnable = false]. *)
-
 val update_ns : t -> leaf:id -> service_ns:int -> leaf_runnable:bool -> unit
-(** [update] taking the service as integer nanoseconds ({!Time.span}).
-    The conversion to float happens inside, directly into a staging
-    cell, so callers holding an integer duration (the kernel) never
-    materialize a boxed float. *)
+(** Charge [service_ns] (integer CPU nanoseconds, {!Time.span}; bits on
+    a packet link) for the quantum just executed by a thread of [leaf]:
+    updates finish/start tags of the leaf and all its ancestors, and
+    propagates un-runnability upward when [leaf_runnable = false].
+    Allocates nothing. *)
 
 (** {1 Priority-inversion support (§4)} *)
 

@@ -23,7 +23,7 @@ include Hsfq_sched.Scheduler_intf.FAIR
 
 (** Note on [select]: it returns [-1] iff no client is runnable {e and
     unclaimed} (with several claims outstanding, see {!set_servers}),
-    and allocates nothing — {!Hierarchy.schedule} walks on it.
+    and allocates nothing — {!Hierarchy.schedule_id} walks on it.
 
     Note on [arrive]: in addition to the generic contract, an [arrive]
     that wakes a {e blocked} client applies [~weight] as the client's new
@@ -38,9 +38,9 @@ include Hsfq_sched.Scheduler_intf.FAIR
     clients is bounded at 2^22. Slots are recycled on [depart], and when
     live clients fall below a quarter of the table capacity the columns
     are packed and released, so retained memory stays O(live clients)
-    under sustained arrive/depart churn. Callers that cache slots (see
-    {!slot_of_id}) must subscribe to {!set_on_remap} to follow
-    compaction moves. *)
+    under sustained arrive/depart churn. [charge] finds its client in
+    the claim set; only [arrive] and [block] look the slot up, with one
+    allocation-free hash lookup. *)
 
 val set_obs : t -> Hsfq_obs.Trace.sys option -> node:int -> unit
 (** Attach (or detach) a tracepoint sink. [node] is the hierarchy node
@@ -63,53 +63,6 @@ val set_servers : t -> int -> unit
 
 val servers : t -> int
 (** Current claim capacity (1 unless {!set_servers} raised it). *)
-
-val stage_cell : t -> float array
-(** One-cell float staging buffer for the [_staged] entry points below.
-    Under dune's dev profile ([-opaque], no cross-module inlining) a
-    [float] argument to a cross-module call is boxed; hot callers cache
-    this array once and write the payload to [.(0)] (an unboxed
-    float-array store) instead. *)
-
-val arrive_staged : t -> id:int -> unit
-(** [arrive] with the weight read from {!stage_cell}. *)
-
-val charge_staged : t -> id:int -> runnable:bool -> unit
-(** [charge] with the service read from {!stage_cell}. The id-keyed
-    charge needs no hash lookup (the in-service slot knows its id). *)
-
-(** {1 Slot-keyed entry points}
-
-    [arrive]/[block]/[charge] by id pay one hashtable lookup to find the
-    client's slot (allocation-free, but a hash nonetheless). Callers on
-    a per-decision path — the hierarchy caches one slot per child node —
-    look the slot up once ({!slot_of_id}), keep it fresh across
-    compactions via {!set_on_remap}, and use these twins to make every
-    transition hash-free. *)
-
-val slot_of_id : t -> id:int -> int
-(** The client's current slot, or [-1] if unknown. Valid until the next
-    compaction (subscribe with {!set_on_remap}) or [depart]. *)
-
-val id_of_slot : t -> slot:int -> int
-(** Inverse of {!slot_of_id} ([-1] for a free or out-of-range slot). *)
-
-val set_on_remap : t -> (id:int -> slot:int -> unit) option -> unit
-(** Install a callback invoked once per live client after each
-    compaction, reporting the client's (possibly unchanged) slot. Cold
-    path — compaction is amortized O(1) per depart. *)
-
-val arrive_slot_staged : t -> slot:int -> unit
-(** {!arrive_staged} for a known client by slot (wake-from-blocked or
-    idempotent-runnable; raises if the slot is free — registration of a
-    new id must go through [arrive]). *)
-
-val block_slot : t -> slot:int -> unit
-(** {!block} by slot (no-op on a free slot or an already-blocked
-    client). *)
-
-val charge_slot_staged : t -> slot:int -> runnable:bool -> unit
-(** {!charge_staged} by slot. *)
 
 val block : t -> id:int -> unit
 (** Remove a client from the ready set without forgetting it; its finish

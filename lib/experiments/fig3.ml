@@ -77,7 +77,7 @@ let run () =
       let still =
         not (blocks_at ~thread:id ~time:!t || exits_at ~thread:id ~time:!t)
       in
-      Sfq.charge sfq ~id ~service:(float_of_int quantum) ~runnable:still;
+      Sfq.charge sfq ~id ~service:quantum ~runnable:still;
       if exits_at ~thread:id ~time:!t then Sfq.depart sfq ~id;
       let finish =
         (* finish tag just assigned: S + l/w *)

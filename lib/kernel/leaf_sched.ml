@@ -64,11 +64,6 @@ module Sfq_leaf = struct
       }
     in
     let module R = Hsfq_check.Sfq_rules in
-    (* The audit-off paths below go through the staging cell
-       ([arrive_staged]/[charge_staged]) so a dispatch charges no boxed
-       floats; auditing snapshots the whole SFQ anyway, so its paths
-       keep the plain float calls. *)
-    let scell = Hsfq_core.Sfq.stage_cell h.sfq in
     let audited = match h.audit with Some _ -> true | None -> false in
     let arrive tid =
       let weight = weight_of h tid in
@@ -93,24 +88,17 @@ module Sfq_leaf = struct
         enqueue =
           (fun ~now:_ tid ->
             if audited then arrive tid
-            else begin
-              scell.(0) <- weight_of h tid;
-              Hsfq_core.Sfq.arrive_staged h.sfq ~id:tid
-            end);
+            else Hsfq_core.Sfq.arrive h.sfq ~id:tid ~weight:(weight_of h tid));
         dequeue = (fun ~now:_ tid -> block tid);
         select = (fun ~now:_ -> option_of_tid (select ()));
         select_id = (fun ~now:_ -> select ());
         charge =
           (fun ~now:_ tid ~service ~runnable ->
             if audited then
-              let service = float_of_int service in
               guarded h
                 (fun () -> R.Charge { id = tid; service; runnable })
                 (fun s -> Hsfq_core.Sfq.charge s ~id:tid ~service ~runnable)
-            else begin
-              scell.(0) <- float_of_int service;
-              Hsfq_core.Sfq.charge_staged h.sfq ~id:tid ~runnable
-            end);
+            else Hsfq_core.Sfq.charge h.sfq ~id:tid ~service ~runnable);
         quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);
@@ -217,7 +205,6 @@ module Fair_leaf (F : Hsfq_sched.Scheduler_intf.FAIR) = struct
         select_id = (fun ~now:_ -> select ());
         charge =
           (fun ~now:_ tid ~service ~runnable ->
-            let service = float_of_int service in
             match h.audited with
             | Some a -> A.charge a ~id:tid ~service ~runnable
             | None -> F.charge h.sched ~id:tid ~service ~runnable);
@@ -369,10 +356,8 @@ module Edf_leaf = struct
             in
             Edf.release h.edf ~id:tid ~deadline:(float_of_int (Time.add now d)));
         dequeue = (fun ~now:_ tid -> Edf.withdraw h.edf ~id:tid);
-        select = (fun ~now:_ -> Edf.select h.edf);
-        select_id =
-          (fun ~now:_ ->
-            match Edf.select h.edf with Some tid -> tid | None -> -1);
+        select = (fun ~now:_ -> option_of_tid (Edf.select h.edf));
+        select_id = (fun ~now:_ -> Edf.select h.edf);
         charge =
           (fun ~now:_ tid ~service:_ ~runnable ->
             if not runnable then Edf.withdraw h.edf ~id:tid);
@@ -435,7 +420,7 @@ module Gps_leaf = struct
         select_id = (fun ~now -> Gps_vt.select h.gps ~now);
         charge =
           (fun ~now tid ~service ~runnable ->
-            Gps_vt.charge h.gps ~now ~id:tid ~service:(float_of_int service) ~runnable);
+            Gps_vt.charge h.gps ~now ~id:tid ~service ~runnable);
         quantum_of = (fun _ -> h.quantum);
         quantum_ns_of = (fun _ -> qns);
         preempts = (fun ~waker:_ ~running:_ -> false);

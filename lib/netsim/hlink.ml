@@ -68,9 +68,9 @@ let attach_flow t ~leaf ~flow ~weight =
     }
 
 let rec start_transmission t =
-  match Hierarchy.schedule t.hier with
-  | None -> t.transmitting <- false
-  | Some leaf ->
+  match Hierarchy.schedule_id t.hier with
+  | -1 -> t.transmitting <- false
+  | leaf ->
     t.transmitting <- true;
     let sched = leaf_sched t leaf in
     let flow = Sfq.select sched in
@@ -83,12 +83,11 @@ let rec start_transmission t =
     ignore
       (Sim.after t.sim duration (fun () ->
            let now = Sim.now t.sim in
-           let bits = float_of_int pkt.bits in
-           Sfq.charge sched ~id:flow ~service:bits
+           Sfq.charge sched ~id:flow ~service:pkt.bits
              ~runnable:(not (Queue.is_empty f.queue));
-           Hierarchy.update t.hier ~leaf ~service:bits
+           Hierarchy.update_ns t.hier ~leaf ~service_ns:pkt.bits
              ~leaf_runnable:(Sfq.backlogged sched > 0);
-           Series.add f.delivered now bits;
+           Series.add_int f.delivered now pkt.bits;
            Stats.add f.delay (float_of_int (Time.diff now pkt.arrived));
            start_transmission t))
 

@@ -18,7 +18,7 @@ type sched_ops = {
   s_name : string;
   s_arrive : id:int -> weight:float -> unit;
   s_select : unit -> int; (* -1 = nothing queued *)
-  s_charge : id:int -> service:float -> runnable:bool -> unit;
+  s_charge : id:int -> service:int -> runnable:bool -> unit;
   s_depart : id:int -> unit;
 }
 
@@ -92,7 +92,7 @@ let rec start_transmission t =
     ignore
       (Sim.after t.sim duration (fun () ->
            let now = Sim.now t.sim in
-           t.sched.s_charge ~id ~service:(float_of_int pkt.bits)
+           t.sched.s_charge ~id ~service:pkt.bits
              ~runnable:(not (Queue.is_empty f.queue));
            Series.add f.delivered now (float_of_int pkt.bits);
            let d = float_of_int (Time.diff now pkt.arrived) in

@@ -6,14 +6,18 @@ type t = {
   mutable nlive : int;
 }
 
+(* [Hashtbl.find] + exception match (not [find_opt]): the validator runs
+   for every entry [peek_valid] inspects, and a [Some] box there would
+   put an allocation in every [select]. *)
 let valid t ~id ~gen =
-  match Hashtbl.find_opt t.jobs id with
-  | None -> false
-  | Some j -> j.live && j.gen = gen
+  match Hashtbl.find t.jobs id with
+  | j -> j.live && j.gen = gen
+  | exception Not_found -> false
 
 let create () =
   let t = { jobs = Hashtbl.create 16; queue = Keyed_heap.create (); nlive = 0 } in
-  (* Enables compaction once stale entries dominate (see Keyed_heap). *)
+  (* Enables compaction once stale entries dominate (see Keyed_heap),
+     and backs the allocation-free [peek_valid]. *)
   Keyed_heap.set_validator t.queue (valid t);
   t
 
@@ -46,10 +50,7 @@ let withdraw t ~id =
       Keyed_heap.invalidate t.queue
     end
 
-let select t =
-  match Keyed_heap.peek t.queue ~valid:(valid t) with
-  | None -> None
-  | Some (_, id) -> Some id
+let select t = Keyed_heap.peek_valid t.queue
 
 let deadline_of t ~id =
   match Hashtbl.find_opt t.jobs id with

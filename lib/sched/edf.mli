@@ -20,9 +20,10 @@ val release : t -> id:int -> deadline:float -> unit
 val withdraw : t -> id:int -> unit
 (** Remove job [id] from the ready set (completion or blocking). *)
 
-val select : t -> int option
-(** The runnable job with the earliest deadline (FIFO among equals).
-    Non-destructive: selecting does not remove the job. *)
+val select : t -> int
+(** The runnable job with the earliest deadline (FIFO among equals), or
+    [-1] if none. Non-destructive: selecting does not remove the job.
+    Allocates nothing. *)
 
 val deadline_of : t -> id:int -> float option
 val backlogged : t -> int

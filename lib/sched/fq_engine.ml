@@ -252,7 +252,8 @@ let charge t ~id ~service ~runnable =
   let slot = t.svc in
   if slot < 0 || t.idv.(slot) <> id then
     invalid_arg (t.label ^ ".charge: client not in service");
-  if not (service >= 0.) then invalid_arg (t.label ^ ".charge: negative service");
+  if service < 0 then invalid_arg (t.label ^ ".charge: negative service");
+  let service = float_of_int service in
   t.svc <- -1;
   (match t.clock with
   | Gps_round | Global_pass ->

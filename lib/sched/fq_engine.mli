@@ -81,9 +81,9 @@ val depart : t -> id:int -> unit
 val set_weight : t -> id:int -> weight:float -> unit
 val select : t -> int
 
-val charge : t -> id:int -> service:float -> runnable:bool -> unit
-(** {!Scheduler_intf.FAIR.charge}; a negative or NaN [service] is
-    rejected (the client stays in service). *)
+val charge : t -> id:int -> service:int -> runnable:bool -> unit
+(** {!Scheduler_intf.FAIR.charge}; a negative [service] is rejected
+    (the client stays in service). *)
 
 val backlogged : t -> int
 val virtual_time : t -> float

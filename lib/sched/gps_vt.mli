@@ -36,7 +36,8 @@ val select : t -> now:Hsfq_engine.Time.t -> int
 (** The picked client, or [-1] if none is runnable. *)
 
 val charge :
-  t -> now:Hsfq_engine.Time.t -> id:int -> service:float -> runnable:bool -> unit
+  t -> now:Hsfq_engine.Time.t -> id:int -> service:int -> runnable:bool -> unit
+(** [service] is integer work units (ns at capacity 1). *)
 
 val backlogged : t -> int
 val virtual_time : t -> now:Hsfq_engine.Time.t -> float

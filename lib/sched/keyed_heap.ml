@@ -216,36 +216,11 @@ let remove_top t =
 
 let dropped_stale t = if t.stale > 0 then t.stale <- t.stale - 1
 
-let rec pop t ~valid =
-  if t.size = 0 then None
-  else begin
-    let key = t.keys.(0) and gen = t.gens.(0) and id = t.ids.(0) in
-    remove_top t;
-    if valid ~id ~gen then begin
-      t.last.(0) <- key;
-      Some (key, id)
-    end
-    else begin
-      dropped_stale t;
-      pop t ~valid
-    end
-  end
-
-let rec peek t ~valid =
-  if t.size = 0 then None
-  else
-    let gen = t.gens.(0) and id = t.ids.(0) in
-    if valid ~id ~gen then Some (t.keys.(0), id)
-    else begin
-      remove_top t;
-      dropped_stale t;
-      peek t ~valid
-    end
-
-(* Allocation-free variants against the installed validator: the popped
-   entry's id (or -1 on empty), its key readable via [last_key]. The
-   loop is a top-level function — a local [let rec] would allocate a
-   closure over [t] and [valid] on every call. *)
+(* Pop and peek against the installed validator, allocation-free: the
+   entry's id (or -1 on empty), its key readable via [last_key] /
+   [peeked_key_cell]. The loops are top-level functions — a local
+   [let rec] would allocate a closure over [t] and [valid] on every
+   call. *)
 let rec pop_valid_loop t valid =
   if t.size = 0 then -1
   else begin

@@ -25,8 +25,9 @@ type t
 val create : unit -> t
 
 val set_validator : t -> (id:int -> gen:int -> bool) -> unit
-(** Install the predicate used by compaction and {!pop_valid}. Typically
-    a single closure built once at scheduler creation. *)
+(** Install the predicate used by compaction, {!pop_valid} and
+    {!peek_valid}. Typically a single closure built once at scheduler
+    creation. *)
 
 val invalidate : t -> unit
 (** Note that one queued entry just went stale (its client's generation
@@ -42,29 +43,21 @@ val push_staged : t -> gen:int -> id:int -> unit
     (an unboxed float-array store) and calling this instead keeps a
     re-enqueue allocation-free. *)
 
-val pop : t -> valid:(id:int -> gen:int -> bool) -> (float * int) option
-(** Pop the minimum-key entry for which [valid] holds, discarding stale
-    entries along the way. *)
-
-val peek : t -> valid:(id:int -> gen:int -> bool) -> (float * int) option
-(** Like [pop] but leaves the entry in place (stale prefix is still
-    discarded). *)
-
 val pop_valid : t -> int
-(** Allocation-free [pop] against the installed validator: returns the
-    popped id, or [-1] if no valid entry remains. The popped entry's key
-    is readable via {!last_key}. Raises [Invalid_argument] if no
+(** Pop the minimum-key entry for which the installed validator holds,
+    discarding stale entries along the way: returns the popped id, or
+    [-1] if no valid entry remains. The popped entry's key is readable
+    via {!last_key}. Allocation-free. Raises [Invalid_argument] if no
     validator was installed. *)
 
 val peek_valid : t -> int
-(** Allocation-free [peek] against the installed validator: the
-    minimum-key valid entry's id without removing it (stale prefix is
-    discarded), or [-1] if none. Its key is readable via
-    {!peeked_key_cell}. Raises [Invalid_argument] if no validator was
-    installed. *)
+(** Like {!pop_valid} but leaves the entry in place (the stale prefix is
+    still discarded): the minimum-key valid entry's id, or [-1] if none.
+    Its key is readable via {!peeked_key_cell}. Raises
+    [Invalid_argument] if no validator was installed. *)
 
 val last_key : t -> float
-(** Key of the most recently popped entry ({!pop} or {!pop_valid}). *)
+(** Key of the most recently popped entry. *)
 
 val last_key_cell : t -> float array
 (** One-cell buffer backing {!last_key}. Hot-path callers cache it once

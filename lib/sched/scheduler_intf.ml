@@ -15,8 +15,10 @@
        or returns [-1] when no client is runnable. Exactly one [charge]
        must follow each successful [select].}
     {- [charge] reports the *actual* service received (the paper's quantum
-       length [l], measured here in nanoseconds of CPU time) and whether
-       the client is still runnable.}
+       length [l]) and whether the client is still runnable. Service is
+       an integer amount of work: nanoseconds of CPU time under the
+       kernel, bits on a simulated packet link. Implementations convert
+       it to float on entry.}
     {- [depart] removes a client entirely (thread exit).}}
 
     Service is reported {e after} it happens. Algorithms that need quantum
@@ -51,9 +53,11 @@ module type FAIR = sig
       This is the one selection entry point: it allocates nothing, so
       the kernel's dispatch loop and tests call the same function. *)
 
-  val charge : t -> id:int -> service:float -> runnable:bool -> unit
-  (** Account [service] units to the in-service client [id]; [runnable]
-      says whether it stays in the ready set (false = it blocked). *)
+  val charge : t -> id:int -> service:int -> runnable:bool -> unit
+  (** Account [service] units of work (ns of CPU, or bits) to the
+      in-service client [id]; [runnable] says whether it stays in the
+      ready set (false = it blocked). An [int], so the call allocates
+      nothing. *)
 
   val backlogged : t -> int
   (** Number of runnable clients (including one in service, if any). *)

@@ -14,7 +14,8 @@
    - float boxing: a float stored into a non-flat record field, or a
      float crossing a compilation-unit boundary (dune builds with
      -opaque semantics between units, so the callee can't be inlined
-     and floats box at the call).
+     and floats box at the call) — unless the argument is read out of
+     a non-flat record field, which already holds it boxed.
 
    Error paths ([raise]/[failwith]/[invalid_arg] arguments) are exempt:
    allocation while dying is fine.  Everything found is a [tl-hot-alloc]
@@ -30,23 +31,23 @@ type config = {
 
 let default_configs =
   [
-    (* [slot_lookup] (the id->slot hash of the id-keyed entries) and
-       [register] (first arrival: slot allocation + table insert) are
-       once-per-transition or once-per-lifetime, not per-decision; the
-       hierarchy's walks use the slot-keyed twins and never reach
-       either. [compact]/[free_slot] are the amortized-O(1) shrink
-       machinery on the depart path. *)
+    (* A decision ([select]/[charge]) never hashes: [charge] finds its
+       client in the claim set. The wake path ([arrive]/[block]) pays
+       one allocation-free id->slot lookup, [slot_lookup], kept cold
+       because Hashtbl.* is a banned family here. [register] (first
+       arrival: slot allocation + table insert) is once per lifetime;
+       [compact]/[free_slot] are the amortized-O(1) shrink machinery on
+       the depart path. *)
     {
       source = "lib/core/sfq.ml";
-      roots = [ "select"; "charge"; "charge_staged"; "arrive_staged" ];
+      roots = [ "select"; "charge"; "arrive"; "block" ];
       cold = [ "grow"; "slot_lookup"; "register"; "compact"; "free_slot" ];
     };
-    (* Same shape one level up: [schedule]'s Some wrapper is the
-       option-returning convenience; the kernel dispatch loop runs on
-       [schedule_id]/[update_ns], which must stay allocation-free. *)
+    (* The kernel's entry points one level up: a decision
+       ([schedule_id]/[update_ns]) and a wake or sleep walk. *)
     {
       source = "lib/core/hierarchy.ml";
-      roots = [ "schedule_id"; "update"; "update_ns"; "setrun"; "sleep" ];
+      roots = [ "schedule_id"; "update_ns"; "setrun"; "sleep" ];
       cold = [];
     };
     {
@@ -136,6 +137,14 @@ let default_configs =
 let is_float_type ty =
   match Types.get_desc ty with
   | Tconstr (p, [], _) -> String.equal (Path.name p) "float"
+  | _ -> false
+
+(* A float field of a non-flat record is stored boxed, so reading it
+   yields the existing box and passing that on allocates nothing. *)
+let already_boxed (a : Typedtree.expression) =
+  match a.exp_desc with
+  | Texp_field (_, _, lbl) -> (
+    match lbl.lbl_repres with Record_float -> false | _ -> true)
   | _ -> false
 
 let error_path_head = function
@@ -240,7 +249,7 @@ let scan_body ~unit_name ~file ~fname body =
                      (fun (_, a) ->
                        match a with
                        | Some (a : Typedtree.expression) ->
-                         is_float_type a.exp_type
+                         is_float_type a.exp_type && not (already_boxed a)
                        | None -> false)
                      args
               in

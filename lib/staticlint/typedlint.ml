@@ -48,7 +48,7 @@ let bench_budgets =
   [
     (* name, max minor_words_per_decision consistent with the typed
        pass's findings + whitelist *)
-    ("sfq/Q=512", 1.0); (* sentinel [select] + staged charge: ~0 measured *)
+    ("sfq/Q=512", 1.0); (* sentinel [select] + int-service charge: ~0 measured *)
     ("hierarchy/depth=16", 2.0); (* schedule_id/update_ns: ~0 measured *)
     ("keyed-heap/push+pop n=256", 1.0); (* zero-alloc contract *)
     ("event-queue/churn n=256", 64.0); (* fired-handle recycling keeps ~4 *)

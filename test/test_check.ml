@@ -76,7 +76,7 @@ let test_audited_sfq_clean () =
   let spin () =
     match Audited.Sfq.select s with
     | -1 -> Alcotest.fail "selection expected"
-    | id -> Audited.Sfq.charge s ~id ~service:10. ~runnable:true
+    | id -> Audited.Sfq.charge s ~id ~service:10 ~runnable:true
   in
   spin ();
   spin ();
@@ -147,7 +147,7 @@ let test_decorator_clean_on_real_scheduler () =
   for i = 0 to 19 do
     match Audited_fqs.select a with
     | -1 -> ()
-    | id -> Audited_fqs.charge a ~id ~service:5. ~runnable:(i < 19)
+    | id -> Audited_fqs.charge a ~id ~service:5 ~runnable:(i < 19)
   done;
   Audited_fqs.depart a ~id:1;
   Audited_fqs.depart a ~id:2;
@@ -172,16 +172,16 @@ let test_hierarchy_audit_clean () =
   Hierarchy.setrun h b;
   Hierarchy.setrun h ts;
   for _ = 1 to 50 do
-    match Hierarchy.schedule h with
-    | Some leaf -> Hierarchy.update h ~leaf ~service:1e6 ~leaf_runnable:true
-    | None -> Alcotest.fail "schedule expected a runnable leaf"
+    match Hierarchy.schedule_id h with
+    | -1 -> Alcotest.fail "schedule expected a runnable leaf"
+    | leaf -> Hierarchy.update_ns h ~leaf ~service_ns:1_000_000 ~leaf_runnable:true
   done;
   Hierarchy.sleep h b;
   Hierarchy.set_weight h a 5.;
   for _ = 1 to 20 do
-    match Hierarchy.schedule h with
-    | Some leaf -> Hierarchy.update h ~leaf ~service:1e6 ~leaf_runnable:true
-    | None -> Alcotest.fail "schedule expected a runnable leaf"
+    match Hierarchy.schedule_id h with
+    | -1 -> Alcotest.fail "schedule expected a runnable leaf"
+    | leaf -> Hierarchy.update_ns h ~leaf ~service_ns:1_000_000 ~leaf_runnable:true
   done;
   Hierarchy_audit.check_all sink h;
   check_string "no violations" "0 invariant violations" (Invariant.summary sink)

@@ -39,11 +39,11 @@ let figure2 () =
 let spin t n =
   let counts = Hashtbl.create 8 in
   for _ = 1 to n do
-    match Hierarchy.schedule t with
-    | Some leaf ->
+    match Hierarchy.schedule_id t with
+    | -1 -> ()
+    | leaf ->
       Hashtbl.replace counts leaf (1 + Option.value ~default:0 (Hashtbl.find_opt counts leaf));
-      Hierarchy.update t ~leaf ~service:1. ~leaf_runnable:true
-    | None -> ()
+      Hierarchy.update_ns t ~leaf ~service_ns:1 ~leaf_runnable:true
   done;
   fun leaf -> Option.value ~default:0 (Hashtbl.find_opt counts leaf)
 
@@ -191,14 +191,14 @@ let test_sleep_stops_at_busy_ancestor () =
 let test_update_propagates_sleep () =
   let t, _, _, best, user1, _ = figure2 () in
   Hierarchy.setrun t user1;
-  (match Hierarchy.schedule t with
-  | Some leaf when leaf = user1 ->
-    Hierarchy.update t ~leaf ~service:10. ~leaf_runnable:false
+  (match Hierarchy.schedule_id t with
+  | leaf when leaf = user1 ->
+    Hierarchy.update_ns t ~leaf ~service_ns:10 ~leaf_runnable:false
   | _ -> Alcotest.fail "expected user1");
   check_bool "leaf idle" false (Hierarchy.is_runnable t user1);
   check_bool "best idle" false (Hierarchy.is_runnable t best);
   check_bool "root idle" false (Hierarchy.is_runnable t Hierarchy.root);
-  Alcotest.(check (option int)) "nothing schedulable" None (Hierarchy.schedule t)
+  check_int "nothing schedulable" (-1) (Hierarchy.schedule_id t)
 
 (* ------------------------ scheduling ratios -------------------------- *)
 
@@ -273,7 +273,7 @@ let test_deep_chain () =
 
 let test_schedule_empty () =
   let t, _, _, _, _, _ = figure2 () in
-  Alcotest.(check (option int)) "no runnable leaf" None (Hierarchy.schedule t)
+  check_int "no runnable leaf" (-1) (Hierarchy.schedule_id t)
 
 let test_donate_siblings_only () =
   let t, hard, soft, _, user1, _ = figure2 () in
@@ -338,9 +338,9 @@ let prop_runnable_invariant =
           | _ -> (
             (* one scheduling cycle; the chosen leaf blocks when it
                matches i *)
-            match Hierarchy.schedule t with
-            | None -> ()
-            | Some leaf ->
+            match Hierarchy.schedule_id t with
+            | -1 -> ()
+            | leaf ->
               let idx =
                 match Array.to_list (Array.mapi (fun j l -> (j, l)) leaves)
                       |> List.find_opt (fun (_, l) -> l = leaf)
@@ -349,85 +349,9 @@ let prop_runnable_invariant =
                 | None -> -1
               in
               let still = idx <> i in
-              Hierarchy.update t ~leaf ~service:1. ~leaf_runnable:still;
+              Hierarchy.update_ns t ~leaf ~service_ns:1 ~leaf_runnable:still;
               if not still then model.(idx) <- false));
           consistent ())
-        ops)
-
-(* The kernel dispatch loop's sentinel-id protocol (schedule_id /
-   update_ns) must be observationally identical to the option-shaped
-   schedule/update: drive twin hierarchies through the same random
-   wake/sleep/schedule sequence, one per protocol, and require the same
-   selections, runnable flags and virtual times throughout. *)
-let prop_schedule_id_matches_schedule =
-  QCheck.Test.make ~name:"schedule_id/update_ns agree with schedule/update"
-    ~count:200
-    QCheck.(list_of_size (Gen.int_range 1 120) (pair (int_bound 3) (int_bound 2)))
-    (fun ops ->
-      let build () =
-        let t = Hierarchy.create () in
-        let mid =
-          ok "mid"
-            (Hierarchy.mknod t ~name:"mid" ~parent:Hierarchy.root ~weight:1.
-               Hierarchy.Internal)
-        in
-        let leaves =
-          [|
-            ok "l0"
-              (Hierarchy.mknod t ~name:"l0" ~parent:Hierarchy.root ~weight:1.
-                 Hierarchy.Leaf);
-            ok "l1" (Hierarchy.mknod t ~name:"l1" ~parent:mid ~weight:2. Hierarchy.Leaf);
-            ok "l2" (Hierarchy.mknod t ~name:"l2" ~parent:mid ~weight:3. Hierarchy.Leaf);
-            ok "l3"
-              (Hierarchy.mknod t ~name:"l3" ~parent:Hierarchy.root ~weight:4.
-                 Hierarchy.Leaf);
-          |]
-        in
-        (t, leaves)
-      in
-      let a, la = build () in
-      let b, lb = build () in
-      let agree () =
-        Array.for_all Fun.id
-          (Array.mapi
-             (fun i l ->
-               Hierarchy.is_runnable a l = Hierarchy.is_runnable b lb.(i)
-               && Float.abs
-                    (Hierarchy.start_tag_of a l -. Hierarchy.start_tag_of b lb.(i))
-                  < 1e-9)
-             la)
-        && Float.abs
-             (Hierarchy.virtual_time_of a Hierarchy.root
-             -. Hierarchy.virtual_time_of b Hierarchy.root)
-           < 1e-9
-      in
-      List.for_all
-        (fun (i, action) ->
-          (match action with
-          | 0 ->
-            Hierarchy.setrun a la.(i);
-            Hierarchy.setrun b lb.(i);
-            true
-          | 1 ->
-            if Hierarchy.is_runnable a la.(i) then begin
-              Hierarchy.sleep a la.(i);
-              Hierarchy.sleep b lb.(i)
-            end;
-            true
-          | _ -> (
-            let sa = Hierarchy.schedule a in
-            let sb = Hierarchy.schedule_id b in
-            match sa with
-            | None -> sb = -1
-            | Some leaf ->
-              leaf = sb
-              &&
-              (let still = leaf <> la.(i) in
-               Hierarchy.update a ~leaf ~service:3_000_000. ~leaf_runnable:still;
-               Hierarchy.update_ns b ~leaf:sb ~service_ns:3_000_000
-                 ~leaf_runnable:still;
-               true)))
-          && agree ())
         ops)
 
 (* Selection frequencies track weights for random 2-level trees. *)
@@ -461,7 +385,7 @@ let prop_chain_equals_flat =
   QCheck.Test.make ~name:"single-child chains are scheduling no-ops" ~count:60
     QCheck.(
       pair (int_range 1 8)
-        (list_of_size (Gen.int_range 10 80) (float_range 0.5 4.)))
+        (list_of_size (Gen.int_range 10 80) (int_range 500_000 4_000_000)))
     (fun (depth, quanta) ->
       (* Flat: three SFQ clients. *)
       let flat = Sfq.create () in
@@ -498,13 +422,13 @@ let prop_chain_equals_flat =
               id
           in
           let tree_pick =
-            match Hierarchy.schedule t with
-            | Some leaf ->
-              Hierarchy.update t ~leaf ~service ~leaf_runnable:true;
+            match Hierarchy.schedule_id t with
+            | -1 -> -3
+            | leaf ->
+              Hierarchy.update_ns t ~leaf ~service_ns:service ~leaf_runnable:true;
               (match List.find_opt (fun (_, l) -> l = leaf) leaves with
               | Some (i, _) -> i
               | None -> -2)
-            | None -> -3
           in
           flat_pick = tree_pick)
         quanta)
@@ -571,6 +495,68 @@ let test_churn_reclaims_and_redispatches () =
        false
      with Invalid_argument _ -> true)
 
+(* The hierarchy reaches a child in its parent's SFQ by node id, so an
+   SFQ compaction, which moves every surviving child to a new slot, must
+   leave each of them wakeable, sleepable and dispatchable. Churn an
+   internal node with 300 children through [rmnod] until its SFQ table
+   shrinks, with some survivors runnable across the compaction and the
+   rest blocked, then wake, sleep and rewake survivors and drain the
+   node: every live leaf must be dispatched exactly once, under a clean
+   per-transition audit. *)
+let test_compaction_keeps_children_dispatchable () =
+  let t = Hierarchy.create () in
+  let sink = Hsfq_check.Invariant.create () in
+  Hsfq_check.Hierarchy_audit.attach sink t;
+  let g =
+    ok "g"
+      (Hierarchy.mknod t ~name:"g" ~parent:Hierarchy.root ~weight:1.
+         Hierarchy.Internal)
+  in
+  let n = 300 in
+  let leaves =
+    Array.init n (fun i ->
+        ok "leaf"
+          (Hierarchy.mknod t
+             ~name:(Printf.sprintf "l%d" i)
+             ~parent:g
+             ~weight:(float_of_int (1 + (i mod 5)))
+             Hierarchy.Leaf))
+  in
+  (* Survivors are spread over the whole slot range; the odd ones stay
+     runnable (queued in g's SFQ) through the compaction. *)
+  let survivor i = i mod 23 = 0 in
+  let runnable_through i = survivor i && i mod 2 = 1 in
+  Array.iteri (fun i l -> if runnable_through i then Hierarchy.setrun t l) leaves;
+  let sfq = Hierarchy.internal_sfq t g in
+  let cap_full = Sfq.capacity sfq in
+  Array.iteri
+    (fun i l -> if not (survivor i) then ok "rm" (Hierarchy.rmnod t l))
+    leaves;
+  check_bool "g's SFQ compacted" true (Sfq.capacity sfq < cap_full);
+  let live = List.filter survivor (List.init n Fun.id) in
+  check_int "live children" (List.length live) (Sfq.live_clients sfq);
+  (* Wake the blocked survivors, put a runnable one to sleep and wake it
+     again: each reaches its own (moved) entry by id. *)
+  List.iter (fun i -> if not (runnable_through i) then Hierarchy.setrun t leaves.(i)) live;
+  let l1 = leaves.(23) in
+  Hierarchy.sleep t l1;
+  check_bool "slept leaf blocked in g" false (Sfq.is_runnable sfq ~id:l1);
+  Hierarchy.setrun t l1;
+  let rec drain acc =
+    match Hierarchy.schedule_id t with
+    | -1 -> acc
+    | leaf ->
+      Hierarchy.update_ns t ~leaf ~service_ns:1_000_000 ~leaf_runnable:false;
+      drain (leaf :: acc)
+  in
+  Alcotest.(check (list int))
+    "every live leaf dispatched once"
+    (List.map (fun i -> leaves.(i)) live)
+    (List.sort Int.compare (drain []));
+  check_bool "g idle after the drain" false (Hierarchy.is_runnable t g);
+  Hsfq_check.Hierarchy_audit.check_all sink t;
+  check_int "audit clean" 0 (Hsfq_check.Invariant.count sink)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "hierarchy"
@@ -613,11 +599,12 @@ let () =
             test_donate_siblings_only;
           Alcotest.test_case "churn reclaims and redispatches" `Quick
             test_churn_reclaims_and_redispatches;
+          Alcotest.test_case "compaction keeps children dispatchable" `Quick
+            test_compaction_keeps_children_dispatchable;
         ] );
       ( "properties",
         [
           qc prop_runnable_invariant;
-          qc prop_schedule_id_matches_schedule;
           qc prop_weighted_shares;
           qc prop_chain_equals_flat;
         ] );

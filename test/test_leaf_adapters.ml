@@ -178,8 +178,8 @@ let test_three_heterogeneous_leaves () =
 (* ---------------------- allocation contract ----------------------- *)
 
 (* A steady-state decision through a leaf adapter — one sentinel
-   [select_id] and one [charge] — allocates at most the boxed float
-   service argument the adapter hands its FAIR scheduler (2 words). *)
+   [select_id] and one [charge] — allocates nothing: the kernel's
+   integer service reaches the scheduler unconverted. *)
 let words_per_decision (lf : Leaf_sched.t) ~add =
   let tids = 8 in
   List.iteri
@@ -203,16 +203,21 @@ let words_per_decision (lf : Leaf_sched.t) ~add =
   done;
   (Gc.minor_words () -. w0) /. float_of_int n
 
+let check_zero_words name w =
+  if w > 0. then Alcotest.failf "%s: %.3f minor words per decision (budget 0)" name w
+
 let test_fair_leaf_allocation name (module F : Hsfq_sched.Scheduler_intf.FAIR) () =
   let module L = Leaf_sched.Fair_leaf (F) in
   let lf, h = L.make ~rng:(Prng.create 3) ~quantum_hint:1e6 () in
-  let w = words_per_decision lf ~add:(L.add h) in
-  if w > 2.0 then Alcotest.failf "%s: %.3f minor words per decision (budget 2)" name w
+  check_zero_words name (words_per_decision lf ~add:(L.add h))
 
 let test_gps_leaf_allocation order () =
   let lf, h = Leaf_sched.Gps_leaf.make ~order ~quantum_hint:1e6 () in
-  let w = words_per_decision lf ~add:(Leaf_sched.Gps_leaf.add h) in
-  if w > 2.0 then Alcotest.failf "%.3f minor words per decision (budget 2)" w
+  check_zero_words lf.name (words_per_decision lf ~add:(Leaf_sched.Gps_leaf.add h))
+
+let test_sfq_leaf_allocation () =
+  let lf, h = Leaf_sched.Sfq_leaf.make () in
+  check_zero_words "sfq" (words_per_decision lf ~add:(Leaf_sched.Sfq_leaf.add h))
 
 let () =
   Alcotest.run "leaf-adapters"
@@ -241,7 +246,7 @@ let () =
       ( "allocation",
         List.map
           (fun (name, m) ->
-            Alcotest.test_case (name ^ " decision <= 2 words") `Quick
+            Alcotest.test_case (name ^ " decision <= 0 words") `Quick
               (test_fair_leaf_allocation name m))
           [
             ("wfq", (module Hsfq_sched.Wfq : Hsfq_sched.Scheduler_intf.FAIR));
@@ -254,10 +259,12 @@ let () =
             ("lottery", (module Hsfq_sched.Lottery));
           ]
         @ [
-            Alcotest.test_case "gps wfq-rt decision <= 2 words" `Quick
+            Alcotest.test_case "gps wfq-rt decision <= 0 words" `Quick
               (test_gps_leaf_allocation Hsfq_sched.Gps_vt.Finish_tags);
-            Alcotest.test_case "gps fqs-rt decision <= 2 words" `Quick
+            Alcotest.test_case "gps fqs-rt decision <= 0 words" `Quick
               (test_gps_leaf_allocation Hsfq_sched.Gps_vt.Start_tags);
+            Alcotest.test_case "sfq decision <= 0 words" `Quick
+              test_sfq_leaf_allocation;
           ] );
       ( "heterogeneous",
         [

@@ -434,6 +434,19 @@ let test_allocpass_float_box () =
   in
   check_bool "float crossing a unit boundary flagged" true
     (has_rule "tl-float-box" fs);
+  let crossing field =
+    alloc_findings
+      (Printf.sprintf
+         "type mixed = { id : int; mutable v : float }\n\
+          type flat = { mutable a : float; mutable b : float }\n\
+          let hot (m : mixed) (f : flat) =\n\
+         \  ignore m.id; ignore f.b; ignore (Float.to_string %s)\n"
+         field)
+  in
+  check_bool "mixed-record float passed on as its existing box" false
+    (has_rule "tl-float-box" (crossing "m.v"));
+  check_bool "flat-record float boxes at the call" true
+    (has_rule "tl-float-box" (crossing "f.a"));
   let fs = alloc_findings "let hot x = Float.of_int x\n" in
   check_bool "fully-applied float primitive doesn't box" false
     (has_rule "tl-float-box" fs)

@@ -427,11 +427,11 @@ let metrics_match_oracle ops =
           match (a, Ref.select r) with
           | -1, None -> true
           | a, Some b when a = b ->
-            let service = float_of_int ((10 * id) + op) in
+            let service = (10 * id) + op in
             let runnable = (id + op) mod 2 = 0 in
             Sfq.charge q ~id:a ~service ~runnable;
             Ref.charge r ~id:b ~service ~runnable;
-            service_acc.(a) <- service_acc.(a) +. service;
+            service_acc.(a) <- service_acc.(a) +. float_of_int service;
             quanta_acc.(a) <- quanta_acc.(a) + 1;
             true
           | _ -> false (* selections diverged *))

@@ -27,10 +27,10 @@ let test_single_client () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:2.;
   check_int "backlogged" 1 (Sfq.backlogged s);
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
   check_float "finish = l/w" 5. (Sfq.finish_tag s ~id:1);
   check_float "next start = finish" 5. (Sfq.start_tag s ~id:1);
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
   check_float "finish accumulates" 10. (Sfq.finish_tag s ~id:1)
 
 let test_worked_example_tags () =
@@ -41,18 +41,18 @@ let test_worked_example_tags () =
   check_float "S_A = 0" 0. (Sfq.start_tag s ~id:1);
   check_float "S_B = 0" 0. (Sfq.start_tag s ~id:2);
   (* FIFO tie-break: A (inserted first) runs first. *)
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
   check_float "F_A = 10" 10. (Sfq.finish_tag s ~id:1);
   check_float "S_A = 10" 10. (Sfq.start_tag s ~id:1);
-  step s ~expect:2 ~l:10.;
+  step s ~expect:2 ~l:10;
   check_float "F_B = 5" 5. (Sfq.finish_tag s ~id:2);
   check_float "S_B = 5" 5. (Sfq.start_tag s ~id:2);
-  step s ~expect:2 ~l:10.;
+  step s ~expect:2 ~l:10;
   check_float "F_B = 10" 10. (Sfq.finish_tag s ~id:2);
   (* Tie at 10: A's entry is older. *)
-  step s ~expect:1 ~l:10.;
-  step s ~expect:2 ~l:10.;
-  step s ~expect:2 ~l:10.;
+  step s ~expect:1 ~l:10;
+  step s ~expect:2 ~l:10;
+  step s ~expect:2 ~l:10;
   (* After 60 ms: A has run 20, B 40 — exactly the paper's 1:2. *)
   check_float "F_A" 20. (Sfq.finish_tag s ~id:1);
   check_float "F_B" 20. (Sfq.finish_tag s ~id:2)
@@ -67,12 +67,12 @@ let test_virtual_time_busy () =
   | id ->
     check_float "vt = start tag in service" (Sfq.start_tag s ~id)
       (Sfq.virtual_time s);
-    Sfq.charge s ~id ~service:4. ~runnable:true
+    Sfq.charge s ~id ~service:4 ~runnable:true
 
 let test_virtual_time_idle () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:1.;
-  step s ~runnable:false ~expect:1 ~l:30.;
+  step s ~runnable:false ~expect:1 ~l:30;
   (* System idle: v = max finish tag. *)
   check_float "vt = max finish on idle" 30. (Sfq.virtual_time s);
   Sfq.arrive s ~id:2 ~weight:1.;
@@ -82,11 +82,11 @@ let test_blocked_retains_finish_tag () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:1.;
   Sfq.arrive s ~id:2 ~weight:1.;
-  step s ~expect:1 ~l:10. ~runnable:false;
+  step s ~expect:1 ~l:10 ~runnable:false;
   (* 2 runs alone for a while. *)
-  step s ~expect:2 ~l:10.;
-  step s ~expect:2 ~l:10.;
-  step s ~expect:2 ~l:10.;
+  step s ~expect:2 ~l:10;
+  step s ~expect:2 ~l:10;
+  step s ~expect:2 ~l:10;
   (* 1 returns: S = max(v, F_1) = max(20, 10) = 20 (no credit for sleep,
      no penalty either). *)
   Sfq.arrive s ~id:1 ~weight:1.;
@@ -99,13 +99,13 @@ let test_blocked_arrive_applies_weight () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:1.;
   Sfq.arrive s ~id:2 ~weight:1.;
-  step s ~expect:1 ~l:10. ~runnable:false;
-  step s ~expect:2 ~l:10.;
+  step s ~expect:1 ~l:10 ~runnable:false;
+  step s ~expect:2 ~l:10;
   Sfq.arrive s ~id:1 ~weight:4.;
   check_float "new weight recorded" 4. (Sfq.weight s ~id:1);
   (* Both re-queued at S=10; FIFO favours 2 (enqueued first). *)
-  step s ~expect:2 ~l:10.;
-  step s ~expect:1 ~l:8.;
+  step s ~expect:2 ~l:10;
+  step s ~expect:1 ~l:8;
   check_float "charged at the new weight" 12. (Sfq.finish_tag s ~id:1)
 
 let test_arrive_idempotent () =
@@ -113,15 +113,15 @@ let test_arrive_idempotent () =
   Sfq.arrive s ~id:1 ~weight:1.;
   Sfq.arrive s ~id:1 ~weight:999.;
   check_int "still one client" 1 (Sfq.backlogged s);
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
   check_float "original weight used" 10. (Sfq.finish_tag s ~id:1)
 
 let test_weight_change_future_only () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:1.;
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
   Sfq.set_weight s ~id:1 ~weight:2.;
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
   check_float "second quantum at new weight" 15. (Sfq.finish_tag s ~id:1)
 
 let test_select_requires_charge () =
@@ -130,7 +130,7 @@ let test_select_requires_charge () =
   ignore (Sfq.select s);
   Alcotest.check_raises "charge of wrong client"
     (Invalid_argument "Sfq.charge: client not in service") (fun () ->
-      Sfq.charge s ~id:99 ~service:1. ~runnable:true)
+      Sfq.charge s ~id:99 ~service:1 ~runnable:true)
 
 let test_depart_in_service_rejected () =
   let s = Sfq.create () in
@@ -147,8 +147,8 @@ let test_block_api () =
   Sfq.block s ~id:2;
   check_int "blocked leaves ready set" 1 (Sfq.backlogged s);
   check_bool "not runnable" false (Sfq.is_runnable s ~id:2);
-  step s ~expect:1 ~l:10.;
-  step s ~expect:1 ~l:10.;
+  step s ~expect:1 ~l:10;
+  step s ~expect:1 ~l:10;
   Sfq.arrive s ~id:2 ~weight:1.;
   (* Finish tag was preserved (0), so S = max(v, 0) = v. *)
   check_float "rejoin at current vt" 10. (Sfq.start_tag s ~id:2)
@@ -170,12 +170,12 @@ let test_reincarnated_id_ignores_stale_entries () =
   Sfq.arrive s ~id:1 ~weight:1.;
   Sfq.arrive s ~id:2 ~weight:1.;
   (* 1 blocks mid-queue; 2 departs while its S=0 entry is queued. *)
-  step s ~expect:1 ~l:2. ~runnable:false;
+  step s ~expect:1 ~l:2 ~runnable:false;
   Sfq.depart s ~id:2;
   (* System idle: v = max finish = 2. Id 2 is reborn, S = max(2, 0). *)
   Sfq.arrive s ~id:2 ~weight:1.;
   check_float "reborn start tag" 2. (Sfq.start_tag s ~id:2);
-  step s ~expect:2 ~l:2.;
+  step s ~expect:2 ~l:2;
   check_float "vt never regressed" 2. (Sfq.virtual_time s);
   check_float "finish from the fresh tag" 4. (Sfq.finish_tag s ~id:2)
 
@@ -190,7 +190,7 @@ let test_invalid_arguments () =
   ignore (Sfq.select s);
   Alcotest.check_raises "negative service"
     (Invalid_argument "Sfq.charge: negative service") (fun () ->
-      Sfq.charge s ~id:1 ~service:(-5.) ~runnable:true)
+      Sfq.charge s ~id:1 ~service:(-5) ~runnable:true)
 
 let test_donation () =
   let s = Sfq.create () in
@@ -198,12 +198,12 @@ let test_donation () =
   Sfq.arrive s ~id:2 ~weight:1.;
   (* 1 blocks on a resource held by 2: donate 1's weight to 2. *)
   Sfq.donate s ~blocked:1 ~recipient:2;
-  step s ~expect:1 ~l:12.;
-  step s ~expect:2 ~l:12.;
+  step s ~expect:1 ~l:12;
+  step s ~expect:2 ~l:12;
   (* 2 was charged at effective weight 1 + 3 = 4. *)
   check_float "donated weight" 3. (Sfq.finish_tag s ~id:2);
   Sfq.revoke s ~blocked:1;
-  step s ~expect:2 ~l:12.;
+  step s ~expect:2 ~l:12;
   check_float "after revoke, back to own weight" 15. (Sfq.finish_tag s ~id:2)
 
 let test_donation_replaced () =
@@ -214,10 +214,10 @@ let test_donation_replaced () =
   Sfq.donate s ~blocked:1 ~recipient:2;
   (* Re-donating from the same blocker moves the donation. *)
   Sfq.donate s ~blocked:1 ~recipient:3;
-  step s ~expect:1 ~l:4.;
-  step s ~expect:2 ~l:4.;
+  step s ~expect:1 ~l:4;
+  step s ~expect:2 ~l:4;
   check_float "2 back to weight 1" 4. (Sfq.finish_tag s ~id:2);
-  step s ~expect:3 ~l:3.;
+  step s ~expect:3 ~l:3;
   check_float "3 has 1+2" 1. (Sfq.finish_tag s ~id:3)
 
 let test_self_donation_rejected () =
@@ -236,7 +236,7 @@ let test_fifo_tie_break_deterministic () =
         match Sfq.select s with
         | -1 -> Alcotest.fail "selection expected"
         | id ->
-          Sfq.charge s ~id ~service:1. ~runnable:true;
+          Sfq.charge s ~id ~service:1 ~runnable:true;
           id)
   in
   Alcotest.(check (list int)) "FIFO among equal tags" [ 1; 2; 3; 4; 5 ] order
@@ -244,14 +244,16 @@ let test_fifo_tie_break_deterministic () =
 (* ----------------------- property tests ----------------------------- *)
 
 (* Random quantum lengths model fluctuating service: the eq. 3 bound must
-   hold at every prefix for two continuously backlogged clients. *)
+   hold at every prefix for two continuously backlogged clients. Quanta
+   are integer work units (100 to 5000); the slack for float rounding
+   is sized to that scale. *)
 let prop_fairness_bound =
   QCheck.Test.make ~name:"eq. 3 fairness bound (2 clients, adversarial quanta)"
     ~count:300
     QCheck.(
       pair
         (pair (float_range 0.1 10.) (float_range 0.1 10.))
-        (list_of_size (Gen.int_range 10 200) (float_range 0.1 5.)))
+        (list_of_size (Gen.int_range 10 200) (int_range 100 5_000)))
     (fun ((w1, w2), quanta) ->
       let s = Sfq.create () in
       Sfq.arrive s ~id:1 ~weight:w1;
@@ -259,11 +261,12 @@ let prop_fairness_bound =
       let work = [| 0.; 0. |] in
       let lmax = [| 0.; 0. |] in
       List.for_all
-        (fun l ->
+        (fun service ->
           match Sfq.select s with
           | -1 -> false
           | id ->
-            Sfq.charge s ~id ~service:l ~runnable:true;
+            Sfq.charge s ~id ~service ~runnable:true;
+            let l = float_of_int service in
             work.(id - 1) <- work.(id - 1) +. l;
             if l > lmax.(id - 1) then lmax.(id - 1) <- l;
             let lag = Float.abs ((work.(0) /. w1) -. (work.(1) /. w2)) in
@@ -272,14 +275,14 @@ let prop_fairness_bound =
             let m = Float.max lmax.(0) lmax.(1) in
             let l1 = if lmax.(0) = 0. then m else lmax.(0) in
             let l2 = if lmax.(1) = 0. then m else lmax.(1) in
-            lag <= (l1 /. w1) +. (l2 /. w2) +. 1e-9)
+            lag <= (l1 /. w1) +. (l2 /. w2) +. 1e-6)
         quanta)
 
 (* The pairwise bound must hold between EVERY pair of continuously
    backlogged clients, not just two. *)
 let prop_fairness_bound_n_clients =
   QCheck.Test.make ~name:"eq. 3 bound pairwise over 5 clients" ~count:100
-    QCheck.(list_of_size (Gen.int_range 50 300) (float_range 0.2 4.))
+    QCheck.(list_of_size (Gen.int_range 50 300) (int_range 200 4_000))
     (fun quanta ->
       let n = 5 in
       let s = Sfq.create () in
@@ -294,17 +297,18 @@ let prop_fairness_bound_n_clients =
         for i = 0 to n - 1 do
           for j = i + 1 to n - 1 do
             let lag = Float.abs ((work.(i) /. weights.(i)) -. (work.(j) /. weights.(j))) in
-            if lag > (l i /. weights.(i)) +. (l j /. weights.(j)) +. 1e-9 then ok := false
+            if lag > (l i /. weights.(i)) +. (l j /. weights.(j)) +. 1e-6 then ok := false
           done
         done;
         !ok
       in
       List.for_all
-        (fun q ->
+        (fun service ->
           match Sfq.select s with
           | -1 -> false
           | id ->
-            Sfq.charge s ~id ~service:q ~runnable:true;
+            Sfq.charge s ~id ~service ~runnable:true;
+            let q = float_of_int service in
             work.(id) <- work.(id) +. q;
             if q > lmax.(id) then lmax.(id) <- q;
             bound_ok ())
@@ -322,7 +326,7 @@ let prop_proportional_share =
         match Sfq.select s with
         | -1 -> ()
         | id ->
-          Sfq.charge s ~id ~service:1. ~runnable:true;
+          Sfq.charge s ~id ~service:1 ~runnable:true;
           work.(id - 1) <- work.(id - 1) +. 1.
       done;
       let expected = w1 /. w2 in
@@ -344,7 +348,7 @@ let prop_virtual_time_monotonic =
              and is then woken again — exercising idle transitions. *)
           (match Sfq.select s with
           | -1 -> ()
-          | id -> Sfq.charge s ~id ~service:2. ~runnable:(id <> op));
+          | id -> Sfq.charge s ~id ~service:2 ~runnable:(id <> op));
           Sfq.arrive s ~id:op ~weight:1.;
           let vt = Sfq.virtual_time s in
           let ok = vt >= !prev in
@@ -373,7 +377,7 @@ let prop_work_conserving =
               (* The selected client blocks when it matches [i] and the
                  coin came up tails. *)
               let still = wake || i <> id in
-              Sfq.charge s ~id ~service:1. ~runnable:still;
+              Sfq.charge s ~id ~service:1 ~runnable:still;
               if not still then runnable.(id) <- false;
               true
           end)
@@ -386,13 +390,14 @@ let test_long_run_no_drift () =
   let s = Sfq.create () in
   Sfq.arrive s ~id:1 ~weight:1.;
   Sfq.arrive s ~id:2 ~weight:3.;
-  let q = 2e7 (* 20 ms in ns *) in
+  let service = 20_000_000 (* 20 ms in ns *) in
+  let q = float_of_int service in
   let work = [| 0.; 0. |] in
   for _ = 1 to 1_000_000 do
     match Sfq.select s with
     | -1 -> Alcotest.fail "selection expected"
     | id ->
-      Sfq.charge s ~id ~service:q ~runnable:true;
+      Sfq.charge s ~id ~service ~runnable:true;
       work.(id - 1) <- work.(id - 1) +. q
   done;
   let ratio = work.(1) /. work.(0) in
@@ -425,7 +430,7 @@ let prop_donations_revocable =
           | -1 -> false
           | id ->
             let start = Sfq.start_tag s ~id in
-            Sfq.charge s ~id ~service:(float_of_int (id + 1)) ~runnable:true;
+            Sfq.charge s ~id ~service:(id + 1) ~runnable:true;
             (* service = weight, so the finish tag moves exactly 1. *)
             Float.abs (Sfq.finish_tag s ~id -. (start +. 1.)) < 1e-9)
         [ (); (); (); (); (); (); (); () ])
@@ -442,7 +447,7 @@ let prop_windowed_unfairness =
     QCheck.(
       pair
         (pair (float_range 0.5 4.) (float_range 0.5 4.))
-        (list_of_size (Gen.int_range 20 150) (float_range 0.1 2.)))
+        (list_of_size (Gen.int_range 20 150) (int_range 100 2_000)))
     (fun ((w1, w2), quanta) ->
       let s = Sfq.create () in
       Sfq.arrive s ~id:1 ~weight:w1;
@@ -451,17 +456,18 @@ let prop_windowed_unfairness =
       let lmax = ref 0. in
       let hist = ref [ (0., 0.) ] in
       List.iter
-        (fun l ->
+        (fun service ->
           (match Sfq.select s with
           | -1 -> ()
           | id ->
-            Sfq.charge s ~id ~service:l ~runnable:true;
+            Sfq.charge s ~id ~service ~runnable:true;
+            let l = float_of_int service in
             work.(id - 1) <- work.(id - 1) +. l;
             if l > !lmax then lmax := l);
           hist := (work.(0), work.(1)) :: !hist)
         quanta;
       let pts = Array.of_list (List.rev !hist) in
-      let bound = (!lmax /. w1) +. (!lmax /. w2) +. 1e-9 in
+      let bound = (!lmax /. w1) +. (!lmax /. w2) +. 1e-6 in
       let n = Array.length pts in
       let ok = ref true in
       for i = 0 to n - 1 do
@@ -494,9 +500,7 @@ let prop_audited_never_trips =
             match A.select s with
             | -1 -> ()
             | sel ->
-              A.charge s ~id:sel
-                ~service:(float_of_int (1 + id))
-                ~runnable:(id mod 2 = 0))
+              A.charge s ~id:sel ~service:(1 + id) ~runnable:(id mod 2 = 0))
           | 3 -> if A.mem s ~id then A.block s ~id
           | 4 -> if A.mem s ~id then A.set_weight s ~id ~weight:(float_of_int id)
           | 5 ->
@@ -555,7 +559,7 @@ let differential_agrees ops =
               match (A.select s, R.select r) with
               | -1, None -> true
               | a, Some b when a = b ->
-                let service = float_of_int (1 + id) in
+                let service = 1 + id in
                 let runnable = id mod 2 = 0 in
                 A.charge s ~id:a ~service ~runnable;
                 R.charge r ~id:b ~service ~runnable;
@@ -600,79 +604,6 @@ let prop_matches_naive_reference =
     QCheck.(
       list_of_size (Gen.int_range 1 150) (pair (int_bound 5) (int_bound 6)))
     differential_agrees
-
-(* The same oracle against the allocation-free protocol: the kernel's
-   dispatch loop never calls [arrive]/[charge] — it calls [select]
-   (sentinel -1 for "no client") with the float payloads written
-   through [stage_cell]. Drive that exact shape against the
-   naive reference so the unboxed entry points are pinned to the same
-   specification as the boxed ones, not just assumed equivalent. *)
-let staged_differential_agrees ops =
-  let module R = Hsfq_check.Sfq_reference in
-  let s = Sfq.create () in
-  let cell = Sfq.stage_cell s in
-  let r = R.create () in
-  let feq a b = Float.abs (a -. b) < 1e-9 in
-  let agree () =
-    Sfq.backlogged s = R.backlogged r
-    && feq (Sfq.virtual_time s) (R.virtual_time r)
-    && feq (Sfq.max_finish_tag s) (R.max_finish_tag r)
-    && List.for_all
-         (fun id ->
-           Sfq.mem s ~id = R.mem r ~id
-           && (not (Sfq.mem s ~id)
-              || feq (Sfq.start_tag s ~id) (R.start_tag r ~id)
-                 && feq (Sfq.finish_tag s ~id) (R.finish_tag r ~id)
-                 && Sfq.is_runnable s ~id = R.is_runnable r ~id))
-         [ 1; 2; 3; 4; 5; 6 ]
-  in
-  List.for_all
-    (fun (id, op) ->
-      let id = id + 1 in
-      let stepped =
-        match op with
-        | 0 | 1 ->
-          let weight = float_of_int (1 + (id mod 4)) in
-          cell.(0) <- weight;
-          Sfq.arrive_staged s ~id;
-          R.arrive r ~id ~weight;
-          true
-        | 2 -> (
-          let a = Sfq.select s in
-          match (a, R.select r) with
-          | -1, None -> true
-          | a, Some b when a = b ->
-            let service = float_of_int (1 + id) in
-            let runnable = id mod 2 = 0 in
-            cell.(0) <- service;
-            Sfq.charge_staged s ~id:a ~runnable;
-            R.charge r ~id:b ~service ~runnable;
-            true
-          | _ -> false (* selections diverged *))
-        | 3 ->
-          if Sfq.mem s ~id then begin
-            Sfq.block s ~id;
-            R.block r ~id
-          end;
-          true
-        | _ ->
-          if Sfq.mem s ~id then begin
-            Sfq.depart s ~id;
-            R.depart r ~id
-          end;
-          true
-      in
-      stepped && agree ())
-    ops
-
-let prop_staged_matches_naive_reference =
-  QCheck.Test.make
-    ~name:
-      "sentinel-id/staged protocol agrees with the naive reference, tag for tag"
-    ~count:400
-    QCheck.(
-      list_of_size (Gen.int_range 1 150) (pair (int_bound 5) (int_bound 4)))
-    staged_differential_agrees
 
 (* The same differential driven as a seeded batch through the domain
    pool: each task's op sequence comes from its own Prng substream, so
@@ -749,8 +680,8 @@ let prop_churn_storm_matches_reference =
           match (Sfq.select s, R.select r) with
           | -1, None -> ()
           | a, Some b when a = b ->
-            Sfq.charge s ~id:a ~service:1. ~runnable:true;
-            R.charge r ~id:a ~service:1. ~runnable:true
+            Sfq.charge s ~id:a ~service:1 ~runnable:true;
+            R.charge r ~id:a ~service:1 ~runnable:true
           | _ -> ok := false
       done;
       ok := !ok && Sfq.backlogged s = R.backlogged r;
@@ -769,8 +700,8 @@ let prop_churn_storm_matches_reference =
       for _ = 1 to 200 do
         match (Sfq.select s, R.select r) with
         | a, Some b when a = b ->
-          Sfq.charge s ~id:a ~service:1. ~runnable:true;
-          R.charge r ~id:a ~service:1. ~runnable:true
+          Sfq.charge s ~id:a ~service:1 ~runnable:true;
+          R.charge r ~id:a ~service:1 ~runnable:true
         | _ -> ok := false
       done;
       !ok)
@@ -795,7 +726,7 @@ let test_capacity_tracks_churn () =
      queues for the departed clients (and release their arrays). *)
   (match Sfq.select s with
   | -1 -> Alcotest.fail "expected a runnable client"
-  | id -> Sfq.charge s ~id ~service:1. ~runnable:true);
+  | id -> Sfq.charge s ~id ~service:1 ~runnable:true);
   let cap_small = Sfq.capacity s in
   check_bool "capacity released" true (cap_small < cap_full);
   check_bool "capacity still covers live" true
@@ -807,48 +738,51 @@ let test_capacity_tracks_churn () =
   check_bool "capacity regrows" true (Sfq.capacity s >= 4096);
   match Sfq.select s with
   | -1 -> Alcotest.fail "expected a runnable client after regrowth"
-  | id -> Sfq.charge s ~id ~service:1. ~runnable:true
+  | id -> Sfq.charge s ~id ~service:1 ~runnable:true
 
-(* Slot remapping under audit: slots cached through {!Sfq.slot_of_id}
-   must be kept coherent by the on-remap callback across a compaction
-   storm, agree with the table in both directions afterwards, and the
-   survivors must still dispatch with no invariant trips. *)
+(* Slot remapping under audit: a compaction storm moves every survivor
+   to a new slot, and each must still be found by id. Blocking and
+   waking survivors by id after the storm must reach their own entries,
+   and the survivors must still dispatch with no invariant trips. *)
 let test_remap_keeps_slots_dispatchable () =
   let module A = Hsfq_check.Audited.Sfq in
   let sink = Hsfq_check.Invariant.create () in
   let s = A.create ~node:"remap" ~sink () in
   let inner = A.inner s in
-  let cached = Hashtbl.create 64 in
-  Sfq.set_on_remap inner (Some (fun ~id ~slot -> Hashtbl.replace cached id slot));
   for id = 0 to 1023 do
     A.arrive s ~id ~weight:(float_of_int (1 + (id mod 4)))
   done;
+  let cap_full = Sfq.capacity inner in
   (* Depart everything but the multiples of 64: occupancy drops far
      below a quarter of capacity, forcing several compactions. *)
   for id = 0 to 1023 do
     if id mod 64 <> 0 then A.depart s ~id
   done;
-  check_bool "compaction fired" true (Hashtbl.length cached > 0);
-  check_bool "capacity released" true (Sfq.capacity inner < 1024);
-  Hashtbl.iter
-    (fun id slot ->
-      (* Ids that departed after an earlier compaction linger in the
-         cache; only live ones must agree. *)
-      if Sfq.mem inner ~id then begin
-        check_int (Printf.sprintf "slot_of_id %d" id) slot
-          (Sfq.slot_of_id inner ~id);
-        check_int
-          (Printf.sprintf "id_of_slot %d" slot)
-          id
-          (Sfq.id_of_slot inner ~slot)
-      end)
-    cached;
+  check_bool "compaction fired" true (Sfq.capacity inner < cap_full);
+  check_int "survivors" 16 (Sfq.live_clients inner);
+  (* Block the survivors that are multiples of 128: only the others
+     may be selected until they wake again. *)
+  for id = 0 to 1023 do
+    if id mod 128 = 0 then A.block s ~id
+  done;
+  check_int "blocked by id" 8 (A.backlogged s);
+  for _ = 1 to 100 do
+    match A.select s with
+    | -1 -> Alcotest.fail "survivors must stay schedulable"
+    | id ->
+      check_int "selection is a runnable survivor" 64 (id mod 128);
+      A.charge s ~id ~service:1 ~runnable:true
+  done;
+  for id = 0 to 1023 do
+    if id mod 128 = 0 then A.arrive s ~id ~weight:1.
+  done;
+  check_int "woken by id" 16 (A.backlogged s);
   for _ = 1 to 200 do
     match A.select s with
     | -1 -> Alcotest.fail "survivors must stay schedulable"
     | id ->
       check_int "selection is a survivor" 0 (id mod 64);
-      A.charge s ~id ~service:1. ~runnable:true
+      A.charge s ~id ~service:1 ~runnable:true
   done;
   check_int "no invariant violations" 0 (Hsfq_check.Invariant.count sink)
 
@@ -904,7 +838,6 @@ let () =
           qc prop_windowed_unfairness;
           qc prop_audited_never_trips;
           qc prop_matches_naive_reference;
-          qc prop_staged_matches_naive_reference;
           Alcotest.test_case "differential batch across domains" `Quick
             test_differential_parallel_batch;
           qc prop_churn_storm_matches_reference;
