@@ -79,6 +79,14 @@ let get t id =
   | exception Not_found ->
     invalid_arg (Printf.sprintf "%s: unknown client %d" algorithm_name id)
 
+(* A runnable client leaves the backlog; an empty backlog weighs exactly
+   0, whatever rounding the +./-. updates left behind (as in
+   [Fq_engine.leave_backlog]). *)
+let leave_backlog t c =
+  t.tw.(0) <- t.tw.(0) -. c.weight;
+  t.nrun <- t.nrun - 1;
+  if t.nrun = 0 then t.tw.(0) <- 0.
+
 let fresh_gen t c =
   t.next_gen <- t.next_gen + 1;
   c.gen <- t.next_gen
@@ -127,8 +135,7 @@ let depart t ~id =
   | exception Not_found -> ()
   | c ->
     if c.runnable then begin
-      t.tw.(0) <- t.tw.(0) -. c.weight;
-      t.nrun <- t.nrun - 1;
+      leave_backlog t c;
       (* The queued entry just went stale. Guessing which queue holds it
          from [ve] is only a heuristic (promotion may have moved it);
          a misattributed report merely shifts when each queue compacts. *)
@@ -189,8 +196,7 @@ let charge t ~id ~service ~runnable =
   if runnable then enqueue t id c
   else begin
     c.runnable <- false;
-    t.tw.(0) <- t.tw.(0) -. c.weight;
-    t.nrun <- t.nrun - 1
+    leave_backlog t c
   end
 
 let backlogged t = t.nrun

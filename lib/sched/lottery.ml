@@ -78,7 +78,9 @@ let ready_remove t c =
   end;
   c.slot <- -1;
   t.nrun <- last;
-  t.tw.(0) <- t.tw.(0) -. c.weight
+  (* An empty ready set weighs exactly 0, whatever rounding the +./-.
+     updates left behind. *)
+  t.tw.(0) <- (if last = 0 then 0. else t.tw.(0) -. c.weight)
 
 let arrive t ~id ~weight =
   match Hashtbl.find t.clients id with

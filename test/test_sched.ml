@@ -1028,10 +1028,29 @@ let test_residue_split name () =
     Alcotest.failf "%s: weight-3 client got %d of 400 quanta (want 300 +- 1)"
       name heavy
 
+(* EEVDF advances v(t) by [service / total weight]. After the same
+   fractional drain, one weight-0.001 client charged 10 ms must move
+   v(t) by exactly [10^7 / 0.001]: a sum left at ~3e-17 instead of 0
+   makes the divisor [0.001 + 3e-17] and shifts the bits. *)
+let test_eevdf_residue_vt () =
+  let t = Eevdf.create () in
+  List.iteri (fun i weight -> Eevdf.arrive t ~id:(i + 1) ~weight) [ 0.1; 0.2; 0.7; 0.3 ];
+  for _ = 1 to 4 do
+    let p = Eevdf.select t in
+    Eevdf.charge t ~id:p ~service:10_000_000 ~runnable:false
+  done;
+  Eevdf.arrive t ~id:10 ~weight:0.001;
+  let before = Eevdf.virtual_time t in
+  let p = Eevdf.select t in
+  Eevdf.charge t ~id:p ~service:10_000_000 ~runnable:true;
+  Alcotest.(check (float 0.)) "v(t)" (before +. (1e7 /. 0.001)) (Eevdf.virtual_time t)
+
 (* The same split after an arbitrary history: non-dyadic weights,
    arrivals, blocking and continuing charges, departures and idle gaps of
    up to 1 s, then a drain. Weight-oblivious round robin must split
-   evenly and FIFO must keep serving its first arrival. *)
+   evenly and FIFO must keep serving its first arrival. Lottery draws
+   its split, so it gets a statistical tolerance: 40 quanta is 4.6
+   standard deviations of a 400-draw 1:3 binomial. *)
 let prop_residue_after_history name =
   let op =
     QCheck.Gen.(
@@ -1073,7 +1092,8 @@ let prop_residue_after_history name =
       d.arrive ~now:!now ~id:11 ~weight:0.3;
       let heavy = quanta_for d ~now ~n:400 ~id:11 in
       let want = match name with "round-robin" -> 200 | "fifo" -> 0 | _ -> 300 in
-      abs (heavy - want) <= 1)
+      let tol = match name with "lottery" -> 40 | _ -> 1 in
+      abs (heavy - want) <= tol)
 
 (* ----------------------------- runner -------------------------------- *)
 
@@ -1136,11 +1156,15 @@ let () =
             Alcotest.test_case (name ^ " 1:3 after a fractional drain") `Quick
               (test_residue_split name))
           [ "gps-fqs"; "fqs"; "stride" ]
+        @ [
+            Alcotest.test_case "eevdf v(t) exact after a fractional drain" `Quick
+              test_eevdf_residue_vt;
+          ]
         @ List.map
             (fun name ->
               QCheck_alcotest.to_alcotest (prop_residue_after_history name))
             [ "wfq"; "scfq"; "fqs"; "stride"; "round-robin"; "fifo"; "gps-wfq";
-              "gps-fqs" ] );
+              "gps-fqs"; "eevdf"; "lottery" ] );
       ( "gps-rt-clock",
         [
           Alcotest.test_case "wall-clock virtual time" `Quick
