@@ -2,15 +2,19 @@ open Hsfq_sched
 
 let algorithm_name = "sfq"
 
-(* Client state lives in a dense table of parallel arrays, so a
-   scheduling decision (select + charge) touches only flat
-   float/int/byte arrays — no hashing, and no allocation, because
+(* Client state lives in a dense slot table of two interleaved blocks,
+   so a scheduling decision (select + charge) touches one float block
+   and one int block — no hashing, and no allocation, because
    float-array writes store unboxed (a [mutable float] field in a mixed
-   record would box on every write).
+   record would box on every write). A slot's four floats (weight,
+   donated weight, start tag, finish tag) sit side by side in [fv], and
+   its three ints (state, heap generation, client id) in [iv], so a
+   decision reads adjacent words instead of one cell in each of seven
+   columns.
 
    The table is indexed by *slot*, not by the caller's client id: slots
    are allocated from a free list on arrive and recycled on depart, and
-   when live clients fall below a quarter of capacity the columns are
+   when live clients fall below a quarter of capacity the blocks are
    packed and halved (see [compact]). That keeps retained memory O(live
    clients) under sustained arrive/depart churn and frees the caller to
    use arbitrary non-negative ids (they no longer size the table). The
@@ -20,10 +24,23 @@ let algorithm_name = "sfq"
    Slots never leave this module, so compaction needs to tell only the
    ready queue and the claim set where each client went. *)
 
-(* Per-client lifecycle, one byte per client. *)
-let st_absent = '\000'
-let st_blocked = '\001'
-let st_runnable = '\002'
+(* Per-client lifecycle, the first int of a slot's [iv] triple. *)
+let st_absent = 0
+let st_blocked = 1
+let st_runnable = 2
+
+(* Offsets within a slot's [fv] quadruple ([4 * slot + _]) and [iv]
+   triple ([3 * slot + _]). *)
+let f_weight = 0 (* administered weight *)
+let f_donated = 1 (* extra weight received via [donate] *)
+let f_start = 2 (* start tag of the pending quantum *)
+let f_finish = 3 (* finish tag of the last quantum *)
+let i_state = 0 (* st_absent / st_blocked / st_runnable *)
+let i_gen = 1 (* generation of the queued heap entry *)
+let i_id = 2 (* client id; -1 = free slot *)
+
+let[@inline always] fx slot f = (4 * slot) + f
+let[@inline always] ix slot i = (3 * slot) + i
 
 (* Bounds *live* clients (slots), not ids: 2^22 concurrent clients is
    far beyond any simulated workload, and ids no longer size anything. *)
@@ -36,14 +53,9 @@ let max_clients = 1 lsl 22
 let[@inline always] fmax (a : float) (b : float) = if a < b then b else a
 
 type t = {
-  mutable cap : int; (* length of every per-slot array *)
-  mutable weightv : float array; (* administered weight *)
-  mutable donatedv : float array; (* extra weight received via [donate] *)
-  mutable startv : float array; (* start tag of the pending quantum *)
-  mutable finishv : float array; (* finish tag of the last quantum *)
-  mutable statev : Bytes.t; (* st_absent / st_blocked / st_runnable *)
-  mutable genv : int array; (* generation of the queued heap entry *)
-  mutable idv : int array; (* slot -> client id; -1 = free slot *)
+  mutable cap : int; (* slots in [fv] and [iv] *)
+  mutable fv : float array; (* stride 4: weight, donated, start, finish *)
+  mutable iv : int array; (* stride 3: state, gen, client id *)
   mutable slot_of : (int, int) Hashtbl.t;
       (* id -> slot; rebuilt at compaction (a Hashtbl never shrinks its
          bucket array on remove) and sized to occupancy *)
@@ -103,13 +115,8 @@ let create ?rng:_ ?quantum_hint:_ () =
   let t =
     {
       cap = 0;
-      weightv = [||];
-      donatedv = [||];
-      startv = [||];
-      finishv = [||];
-      statev = Bytes.empty;
-      genv = [||];
-      idv = [||];
+      fv = [||];
+      iv = [||];
       slot_of = Hashtbl.create 16;
       top = 0;
       freev = [||];
@@ -135,13 +142,13 @@ let create ?rng:_ ?quantum_hint:_ () =
   (* One closure for the heap's compaction/pop validity checks, built
      once: a queued entry is live iff its slot still holds a runnable
      client under the same generation. Compaction-remapped entries keep
-     their gen (the column moves with them); entries left pointing at a
+     their gen (the slot's ints move with them); entries left pointing at a
      freed or reused slot fail the gen check because generations are
      globally unique. *)
   Keyed_heap.set_validator t.queue (fun ~id ~gen ->
       id < t.cap
-      && Char.equal (Bytes.get t.statev id) st_runnable
-      && t.genv.(id) = gen);
+      && t.iv.(ix id i_state) = st_runnable
+      && t.iv.(ix id i_gen) = gen);
   t
 
 let set_obs t sys ~node =
@@ -189,9 +196,9 @@ let slot_lookup t id =
 
 let state t id =
   let s = slot_lookup t id in
-  if s < 0 then st_absent else Bytes.get t.statev s
+  if s < 0 then st_absent else t.iv.(ix s i_state)
 
-let known t id = not (Char.equal (state t id) st_absent)
+let known t id = state t id <> st_absent
 
 let slot_checked t id =
   let s = slot_lookup t id in
@@ -202,31 +209,19 @@ let rec pow2_above c n = if c >= n then c else pow2_above (2 * c) n
 
 let grow t slot =
   let ncap = pow2_above (Int.max 16 (2 * t.cap)) (slot + 1) in
-  let nw = Array.make ncap 0. in
-  Array.blit t.weightv 0 nw 0 t.cap;
-  t.weightv <- nw;
-  let nd = Array.make ncap 0. in
-  Array.blit t.donatedv 0 nd 0 t.cap;
-  t.donatedv <- nd;
-  let ns = Array.make ncap 0. in
-  Array.blit t.startv 0 ns 0 t.cap;
-  t.startv <- ns;
-  let nf = Array.make ncap 0. in
-  Array.blit t.finishv 0 nf 0 t.cap;
-  t.finishv <- nf;
-  let nst = Bytes.make ncap st_absent in
-  Bytes.blit t.statev 0 nst 0 t.cap;
-  t.statev <- nst;
-  let ng = Array.make ncap 0 in
-  Array.blit t.genv 0 ng 0 t.cap;
-  t.genv <- ng;
-  let ni = Array.make ncap (-1) in
-  Array.blit t.idv 0 ni 0 t.cap;
-  t.idv <- ni;
+  let nf = Array.make (4 * ncap) 0. in
+  Array.blit t.fv 0 nf 0 (4 * t.cap);
+  t.fv <- nf;
+  let ni = Array.make (3 * ncap) st_absent in
+  Array.blit t.iv 0 ni 0 (3 * t.cap);
+  for s = t.cap to ncap - 1 do
+    ni.(ix s i_id) <- -1
+  done;
+  t.iv <- ni;
   t.cap <- ncap
 
 let[@inline always] effective_weight t slot =
-  t.weightv.(slot) +. t.donatedv.(slot)
+  t.fv.(fx slot f_weight) +. t.fv.(fx slot f_donated)
 
 let fresh_gen t =
   let g = t.next_gen in
@@ -235,8 +230,8 @@ let fresh_gen t =
 
 let enqueue t slot =
   let g = fresh_gen t in
-  t.genv.(slot) <- g;
-  t.kstage.(0) <- t.startv.(slot);
+  t.iv.(ix slot i_gen) <- g;
+  t.kstage.(0) <- t.fv.(fx slot f_start);
   Keyed_heap.push_staged t.queue ~gen:g ~id:slot
 
 (* Idle transition: "when the CPU is idle, v(t) is set to the maximum of
@@ -255,7 +250,7 @@ let free_slot t slot =
   t.nfree <- t.nfree + 1
 
 (* Occupancy-triggered compaction, from [depart]: pack live slots to the
-   front (order-preserving), halve the columns down to 2x headroom, and
+   front (order-preserving), halve the blocks down to 2x headroom, and
    move everything holding a slot — the claim set, and queued heap
    entries via [Keyed_heap.remap_ids] (keys/seqs untouched, so dispatch
    order and FIFO tie-breaks are byte-identical). The
@@ -267,43 +262,33 @@ let compact t =
   let map = Array.make (Int.max 1 old_top) (-1) in
   let j = ref 0 in
   for s = 0 to old_top - 1 do
-    if t.idv.(s) >= 0 then begin
+    if t.iv.(ix s i_id) >= 0 then begin
       let d = !j in
       map.(s) <- d;
       if d <> s then begin
-        t.weightv.(d) <- t.weightv.(s);
-        t.donatedv.(d) <- t.donatedv.(s);
-        t.startv.(d) <- t.startv.(s);
-        t.finishv.(d) <- t.finishv.(s);
-        Bytes.set t.statev d (Bytes.get t.statev s);
-        t.genv.(d) <- t.genv.(s);
-        t.idv.(d) <- t.idv.(s)
+        Array.blit t.fv (fx s 0) t.fv (fx d 0) 4;
+        Array.blit t.iv (ix s 0) t.iv (ix d 0) 3
       end;
       incr j
     end
   done;
   let live = !j in
   for s = live to old_top - 1 do
-    t.idv.(s) <- -1;
-    Bytes.set t.statev s st_absent
+    t.iv.(ix s i_id) <- -1;
+    t.iv.(ix s i_state) <- st_absent
   done;
   t.top <- live;
   t.nfree <- 0;
   let ncap = pow2_above 16 (2 * live) in
   if ncap < t.cap then begin
-    t.weightv <- Array.sub t.weightv 0 ncap;
-    t.donatedv <- Array.sub t.donatedv 0 ncap;
-    t.startv <- Array.sub t.startv 0 ncap;
-    t.finishv <- Array.sub t.finishv 0 ncap;
-    t.statev <- Bytes.sub t.statev 0 ncap;
-    t.genv <- Array.sub t.genv 0 ncap;
-    t.idv <- Array.sub t.idv 0 ncap;
+    t.fv <- Array.sub t.fv 0 (4 * ncap);
+    t.iv <- Array.sub t.iv 0 (3 * ncap);
     if Array.length t.freev > ncap then t.freev <- [||];
     t.cap <- ncap
   end;
   let m = Hashtbl.create (Int.max 16 live) in
   for s = 0 to live - 1 do
-    Hashtbl.replace m t.idv.(s) s
+    Hashtbl.replace m t.iv.(ix s i_id) s
   done;
   t.slot_of <- m;
   for i = 0 to t.nsvc - 1 do
@@ -333,15 +318,15 @@ let register t ~id ~weight =
       s
     end
   in
-  t.idv.(slot) <- id;
+  t.iv.(ix slot i_id) <- id;
   Hashtbl.replace t.slot_of id slot;
   t.nlive <- t.nlive + 1;
-  t.weightv.(slot) <- weight;
-  t.donatedv.(slot) <- 0.;
+  t.fv.(fx slot f_weight) <- weight;
+  t.fv.(fx slot f_donated) <- 0.;
   (* F_0 = 0, so S_1 = max(v(t), 0) — rule 1 with j = 1. *)
-  t.startv.(slot) <- fmax t.clock.vt 0.;
-  t.finishv.(slot) <- 0.;
-  Bytes.set t.statev slot st_runnable;
+  t.fv.(fx slot f_start) <- fmax t.clock.vt 0.;
+  t.fv.(fx slot f_finish) <- 0.;
+  t.iv.(ix slot i_state) <- st_runnable;
   t.nrun <- t.nrun + 1;
   enqueue t slot
 
@@ -350,9 +335,9 @@ let rewake t slot weight =
   (* A blocked client may return with a different share (e.g. its class
      weight was re-administered while it slept): the new weight governs
      the quantum it is about to request. *)
-  t.weightv.(slot) <- weight;
-  t.startv.(slot) <- fmax t.clock.vt t.finishv.(slot);
-  Bytes.set t.statev slot st_runnable;
+  t.fv.(fx slot f_weight) <- weight;
+  t.fv.(fx slot f_start) <- fmax t.clock.vt t.fv.(fx slot f_finish);
+  t.iv.(ix slot i_state) <- st_runnable;
   t.nrun <- t.nrun + 1;
   enqueue t slot
 
@@ -364,8 +349,7 @@ let arrive t ~id ~weight =
   if id < 0 then invalid_arg "Sfq.arrive: negative client id";
   let slot = slot_lookup t id in
   if slot < 0 then register t ~id ~weight
-  else if Char.equal (Bytes.get t.statev slot) st_blocked then
-    rewake t slot weight
+  else if t.iv.(ix slot i_state) = st_blocked then rewake t slot weight
 (* already runnable: idempotent, the weight argument is ignored *)
 
 let revoke t ~blocked =
@@ -373,20 +357,21 @@ let revoke t ~blocked =
   | None -> ()
   | Some (recipient, amount) ->
     let rslot = slot_lookup t recipient in
-    if rslot >= 0 then t.donatedv.(rslot) <- t.donatedv.(rslot) -. amount;
+    if rslot >= 0 then
+      t.fv.(fx rslot f_donated) <- t.fv.(fx rslot f_donated) -. amount;
     Hashtbl.remove t.donations blocked
 
 let depart t ~id =
   let slot = slot_lookup t id in
   if slot >= 0 then begin
     if claim_index t slot >= 0 then invalid_arg "Sfq.depart: client in service";
-    if Char.equal (Bytes.get t.statev slot) st_runnable then begin
+    if t.iv.(ix slot i_state) = st_runnable then begin
       t.nrun <- t.nrun - 1;
       (* A runnable, not-in-service client has exactly one queued heap
          entry; it just went stale. *)
       Keyed_heap.invalidate t.queue
     end;
-    t.genv.(slot) <- fresh_gen t;
+    t.iv.(ix slot i_gen) <- fresh_gen t;
     (* Weight conservation: give back any weight this client donated, and
        drop donations aimed at it (their blockers re-donate on the next
        ownership change, see Kernel.unlock_mutex). *)
@@ -395,8 +380,8 @@ let depart t ~id =
       (fun b (r, _) acc -> if r = id then b :: acc else acc)
       t.donations []
     |> List.iter (fun b -> revoke t ~blocked:b);
-    Bytes.set t.statev slot st_absent;
-    t.idv.(slot) <- -1;
+    t.iv.(ix slot i_state) <- st_absent;
+    t.iv.(ix slot i_id) <- -1;
     Hashtbl.remove t.slot_of id;
     free_slot t slot;
     t.nlive <- t.nlive - 1;
@@ -407,7 +392,7 @@ let depart t ~id =
 let set_weight t ~id ~weight =
   if weight <= 0. then invalid_arg "Sfq.set_weight: weight <= 0";
   let slot = slot_checked t id in
-  t.weightv.(slot) <- weight
+  t.fv.(fx slot f_weight) <- weight
 
 let select t =
   if t.nsvc >= t.servers then
@@ -427,7 +412,7 @@ let select t =
        charge strictly alternate, every enqueued tag is >= the vt it
        was assigned under, and the fmax is inert. *)
     t.clock.vt <- fmax t.clock.vt t.klast.(0);
-    let id = t.idv.(slot) in
+    let id = t.iv.(ix slot i_id) in
     (if !(t.obs_on) then
        match t.obs with
        | None -> ()
@@ -441,7 +426,7 @@ let select t =
 
 let rec claim_of_id t ~id i =
   if i >= t.nsvc then -1
-  else if t.idv.(t.svc.(i)) = id then i
+  else if t.iv.(ix t.svc.(i) i_id) = id then i
   else claim_of_id t ~id (i + 1)
 
 (* The claimed slots know their ids, so charge needs no hash lookup:
@@ -459,14 +444,14 @@ let charge t ~id ~service ~runnable =
   t.svc.(ci) <- t.svc.(t.nsvc);
   t.svc.(t.nsvc) <- -1;
   let ew = effective_weight t slot in
-  let finish = t.startv.(slot) +. (service /. ew) in
-  t.finishv.(slot) <- finish;
+  let finish = t.fv.(fx slot f_start) +. (service /. ew) in
+  t.fv.(fx slot f_finish) <- finish;
   if finish > t.clock.max_finish then t.clock.max_finish <- finish;
   (if !(t.obs_on) then
      match t.obs with
      | None -> ()
      | Some s ->
-       let id = t.idv.(slot) in
+       let id = t.iv.(ix slot i_id) in
        t.obs_stage.(0) <- service;
        t.obs_stage.(1) <- finish;
        Hsfq_obs.Trace.emitf s ~code:Hsfq_obs.Trace.ev_tag_update ~a:t.obs_node
@@ -492,12 +477,12 @@ let charge t ~id ~service ~runnable =
        finish >= v(t) always.  Clients re-arriving from blocked still
        clamp to v(t) in [arrive], which is what forgives banked
        credit. *)
-    t.startv.(slot) <- finish;
+    t.fv.(fx slot f_start) <- finish;
     enqueue t slot
   end
   else begin
-    Bytes.set t.statev slot st_blocked;
-    t.genv.(slot) <- fresh_gen t;
+    t.iv.(ix slot i_state) <- st_blocked;
+    t.iv.(ix slot i_gen) <- fresh_gen t;
     t.nrun <- t.nrun - 1;
     note_idle t
   end
@@ -507,9 +492,9 @@ let block t ~id =
   if slot >= 0 then begin
     if claim_index t slot >= 0 then
       invalid_arg "Sfq.block: client in service (use charge ~runnable:false)";
-    if Char.equal (Bytes.get t.statev slot) st_runnable then begin
-      Bytes.set t.statev slot st_blocked;
-      t.genv.(slot) <- fresh_gen t;
+    if t.iv.(ix slot i_state) = st_runnable then begin
+      t.iv.(ix slot i_state) <- st_blocked;
+      t.iv.(ix slot i_gen) <- fresh_gen t;
       t.nrun <- t.nrun - 1;
       Keyed_heap.invalidate t.queue;
       note_idle t
@@ -528,23 +513,23 @@ let donate t ~blocked ~recipient =
   let bslot = slot_checked t blocked in
   let rslot = slot_checked t recipient in
   revoke t ~blocked;
-  let amount = t.weightv.(bslot) in
-  t.donatedv.(rslot) <- t.donatedv.(rslot) +. amount;
+  let amount = t.fv.(fx bslot f_weight) in
+  t.fv.(fx rslot f_donated) <- t.fv.(fx rslot f_donated) +. amount;
   Hashtbl.replace t.donations blocked (recipient, amount)
 
 let mem t ~id = known t id
 
 let start_tag t ~id =
   let slot = slot_checked t id in
-  t.startv.(slot)
+  t.fv.(fx slot f_start)
 
 let finish_tag t ~id =
   let slot = slot_checked t id in
-  t.finishv.(slot)
+  t.fv.(fx slot f_finish)
 
 let is_runnable t ~id =
   let slot = slot_checked t id in
-  Char.equal (Bytes.get t.statev slot) st_runnable
+  t.iv.(ix slot i_state) = st_runnable
 
 let backlogged t = t.nrun
 let virtual_time t = t.clock.vt
@@ -554,24 +539,25 @@ let virtual_time t = t.clock.vt
 let clients t =
   let acc = ref [] in
   for s = t.top - 1 downto 0 do
-    if t.idv.(s) >= 0 then acc := t.idv.(s) :: !acc
+    if t.iv.(ix s i_id) >= 0 then acc := t.iv.(ix s i_id) :: !acc
   done;
   List.sort Int.compare !acc
 
 let weight t ~id =
   let slot = slot_checked t id in
-  t.weightv.(slot)
+  t.fv.(fx slot f_weight)
 
 let effective_weight_of t ~id =
   let slot = slot_checked t id in
   effective_weight t slot
 
-let in_service t = if t.nsvc = 0 then None else Some t.idv.(t.svc.(t.nsvc - 1))
+let in_service t =
+  if t.nsvc = 0 then None else Some t.iv.(ix t.svc.(t.nsvc - 1) i_id)
 
 let in_service_ids t =
   let acc = ref [] in
   for i = t.nsvc - 1 downto 0 do
-    acc := t.idv.(t.svc.(i)) :: !acc
+    acc := t.iv.(ix t.svc.(i) i_id) :: !acc
   done;
   !acc
 
@@ -586,12 +572,11 @@ let capacity t = t.cap
 let live_clients t = t.nlive
 
 (* Deterministic retained-words accounting (array lengths and bucket
-   counts, not GC sampling): 4 float + 2 int columns, the state bytes,
-   the free stack, the id map, and the ready queue. *)
+   counts, not GC sampling): 4 unboxed floats and 3 ints per slot, the
+   claim set, the free stack, the id map, and the ready queue. *)
 let footprint_words t =
   let stats = Hashtbl.stats t.slot_of in
-  (6 * t.cap)
-  + ((t.cap + 7) / 8)
+  (7 * t.cap)
   + Array.length t.svc
   + Array.length t.freev
   + stats.Hashtbl.num_buckets

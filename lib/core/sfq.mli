@@ -31,12 +31,14 @@ include Hsfq_sched.Scheduler_intf.FAIR
     already-runnable client ignores the argument. [weight <= 0] is
     rejected in every case.
 
-    Client state lives in a dense flat table indexed by *slot* (ids are
-    mapped to slots on arrival), so a scheduling decision performs no
-    hashing and no allocation. Ids may be arbitrary non-negative
+    Client state lives in a dense table indexed by *slot* (ids are
+    mapped to slots on arrival): one float block holding each slot's
+    weight, donated weight, start and finish tags side by side, and one
+    int block holding its state, heap generation and id. A scheduling
+    decision performs no hashing and no allocation. Ids may be arbitrary non-negative
     integers — they no longer size the table; the number of {e live}
     clients is bounded at 2^22. Slots are recycled on [depart], and when
-    live clients fall below a quarter of the table capacity the columns
+    live clients fall below a quarter of the table capacity the blocks
     are packed and released, so retained memory stays O(live clients)
     under sustained arrive/depart churn. [charge] finds its client in
     the claim set; only [arrive] and [block] look the slot up, with one

@@ -126,10 +126,17 @@ type t = {
   threads : (tid, thread) Hashtbl.t;
   (* Dense mirrors of [leaves]/[threads]: node ids and tids are both
      small counter-allocated ints, so the dispatch hot path resolves
-     them with an array read instead of a hashtable probe. The
-     hashtables remain the source of truth for iteration/removal. *)
-  mutable leaf_cache : Leaf_sched.t option array;
-  mutable thread_cache : thread option array;
+     them with an array read instead of a hashtable probe. Empty slots
+     hold the per-kernel sentinels below, so a lookup touches no
+     [option] box. The hashtables remain the source of truth for
+     iteration/removal. *)
+  mutable leaf_cache : Leaf_sched.t array;
+  mutable thread_cache : thread array;
+  no_leaf : Leaf_sched.t; (* sentinel: no scheduler installed *)
+  no_thread : thread; (* sentinel: tid -1 *)
+  mutable leaf_live : int array;
+      (* per leaf id: threads of the leaf not yet Exited, so
+         [uninstall_leaf] needs no scan of every thread ever spawned *)
   mutexes : (int, mutex) Hashtbl.t;
   mutable next_mutex : int;
   devices : (int, device) Hashtbl.t;
@@ -178,6 +185,60 @@ let make_cpu cid =
     migrations = 0;
   }
 
+let no_leaf_sched leaf =
+  invalid_arg
+    (Printf.sprintf "Kernel: no leaf scheduler installed on node %d" leaf)
+
+let unknown_thread tid =
+  invalid_arg (Printf.sprintf "Kernel: unknown thread %d" tid)
+
+(* The empty-slot sentinels of [leaf_cache] and [thread_cache]. They are
+   per kernel, not top-level values, because a thread record is mutable
+   and a top-level one would be shared across domains. *)
+let make_no_leaf () : Leaf_sched.t =
+  let fail _ = invalid_arg "Kernel: no leaf scheduler installed" in
+  {
+    name = "";
+    enqueue = (fun ~now:_ -> fail);
+    dequeue = (fun ~now:_ -> fail);
+    select = (fun ~now -> fail now);
+    select_id = (fun ~now -> fail now);
+    charge = (fun ~now:_ tid ~service:_ ~runnable:_ -> fail tid);
+    quantum_of = fail;
+    quantum_ns_of = fail;
+    preempts = (fun ~waker ~running:_ -> fail waker);
+    backlogged = fail;
+    detach = fail;
+    second_tick = fail;
+    donate = (fun ~blocked ~recipient:_ -> fail blocked);
+    revoke = (fun ~blocked -> fail blocked);
+    sfq_probe = None;
+  }
+
+let make_thread ~tid ~name ~leaf workload =
+  {
+    tid;
+    tname = name;
+    leaf;
+    workload;
+    state = Created;
+    work_left = 0;
+    waiting_mutex = None;
+    wake_handle = Event_queue.null;
+    wake_thunk = None;
+    suspended = false;
+    wake_pending = false;
+    last_wake = Time.zero;
+    awaiting_dispatch = false;
+    last_cpu = -1;
+    running_on = -1;
+    total_cpu = 0;
+    dispatches = 0;
+    cpu = Series.create ~name ();
+    latency = Stats.create ();
+    lat_series = Series.create ~name:(name ^ "-latency") ();
+  }
+
 let create ?(config = default_config) ?(cpus = 1) sim hier =
   if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
   (* Concurrent root->leaf decisions need one root claim per CPU; at
@@ -193,6 +254,11 @@ let create ?(config = default_config) ?(cpus = 1) sim hier =
       threads = Hashtbl.create 32;
       leaf_cache = [||];
       thread_cache = [||];
+      no_leaf = make_no_leaf ();
+      no_thread =
+        make_thread ~tid:(-1) ~name:"" ~leaf:(-1) (fun ~now:_ ->
+            Workload_intf.Exit);
+      leaf_live = [||];
       mutexes = Hashtbl.create 4;
       next_mutex = 1;
       devices = Hashtbl.create 4;
@@ -238,41 +304,49 @@ let obs_emit t ~code ~a ~b ~c ~d =
     Hsfq_obs.Trace.sys_set_now s (Sim.now t.sim);
     Hsfq_obs.Trace.emit0 s ~code ~a ~b ~c ~d
 
-let unknown_thread tid =
-  invalid_arg (Printf.sprintf "Kernel: unknown thread %d" tid)
-
 let thread t tid =
-  if tid >= 0 && tid < Array.length t.thread_cache then
-    match t.thread_cache.(tid) with
-    | Some th -> th
-    | None -> unknown_thread tid
+  if tid >= 0 && tid < Array.length t.thread_cache then begin
+    let th = t.thread_cache.(tid) in
+    if th.tid < 0 then unknown_thread tid;
+    th
+  end
   else unknown_thread tid
 
-let no_leaf_sched leaf =
-  invalid_arg
-    (Printf.sprintf "Kernel: no leaf scheduler installed on node %d" leaf)
-
 let leaf_sched t leaf =
-  if leaf >= 0 && leaf < Array.length t.leaf_cache then
-    match t.leaf_cache.(leaf) with
-    | Some lf -> lf
-    | None -> no_leaf_sched leaf
+  if leaf >= 0 && leaf < Array.length t.leaf_cache then begin
+    let lf = t.leaf_cache.(leaf) in
+    if lf == t.no_leaf then no_leaf_sched leaf;
+    lf
+  end
   else no_leaf_sched leaf
 
-(* Grow-and-set for the dense caches (registration-time only). *)
-let cache_set : 'a. 'a option array -> int -> 'a -> 'a option array =
- fun cache i v ->
+(* Grow-and-set for the dense caches (registration-time only); new
+   slots hold [empty]. *)
+let cache_set : 'a. 'a array -> empty:'a -> int -> 'a -> 'a array =
+ fun cache ~empty i v ->
   let cache =
     if i < Array.length cache then cache
     else begin
       let ncap = Int.max (i + 1) (Int.max 16 (2 * Array.length cache)) in
-      let nc = Array.make ncap None in
+      let nc = Array.make ncap empty in
       Array.blit cache 0 nc 0 (Array.length cache);
       nc
     end
   in
-  cache.(i) <- Some v;
+  cache.(i) <- v;
   cache
+
+(* [leaf]'s count of not-yet-Exited threads, and a change to it. *)
+let live_count t leaf =
+  if leaf < Array.length t.leaf_live then t.leaf_live.(leaf) else 0
+
+let count_live t leaf delta =
+  t.leaf_live <- cache_set t.leaf_live ~empty:0 leaf (live_count t leaf + delta)
+
+(* Every transition to [Exited] comes through here. *)
+let mark_exited t th =
+  th.state <- Exited;
+  count_live t th.leaf (-1)
 
 let mutex t m =
   try Hashtbl.find t.mutexes m
@@ -331,38 +405,16 @@ let install_leaf t leaf lf =
   if Hashtbl.mem t.leaves leaf then
     invalid_arg "Kernel.install_leaf: leaf already has a scheduler";
   Hashtbl.replace t.leaves leaf lf;
-  t.leaf_cache <- cache_set t.leaf_cache leaf lf
+  t.leaf_cache <- cache_set t.leaf_cache ~empty:t.no_leaf leaf lf
 
 let spawn t ~name ~leaf workload =
   ignore (leaf_sched t leaf);
   let tid = t.next_tid in
   t.next_tid <- t.next_tid + 1;
-  let th =
-    {
-      tid;
-      tname = name;
-      leaf;
-      workload;
-      state = Created;
-      work_left = 0;
-      waiting_mutex = None;
-      wake_handle = Event_queue.null;
-      wake_thunk = None;
-      suspended = false;
-      wake_pending = false;
-      last_wake = Time.zero;
-      awaiting_dispatch = false;
-      last_cpu = -1;
-      running_on = -1;
-      total_cpu = 0;
-      dispatches = 0;
-      cpu = Series.create ~name ();
-      latency = Stats.create ();
-      lat_series = Series.create ~name:(name ^ "-latency") ();
-    }
-  in
+  let th = make_thread ~tid ~name ~leaf workload in
   Hashtbl.replace t.threads tid th;
-  t.thread_cache <- cache_set t.thread_cache tid th;
+  t.thread_cache <- cache_set t.thread_cache ~empty:t.no_thread tid th;
+  count_live t leaf 1;
   (match t.obs with
   | None -> ()
   | Some s -> Hsfq_obs.Trace.name_lane s ~lane:tid ~name);
@@ -496,7 +548,7 @@ let rec end_dispatch t c d now disposition =
     th.wake_handle <- Sim.at t.sim at (wake_thunk_of t th)
   | Block_external -> th.state <- Blocked
   | Die ->
-    th.state <- Exited;
+    mark_exited t th;
     release_mutex_links t th);
   (* Releasing this CPU's hierarchy claim can unblock a sibling CPU that
      found every runnable subtree claimed, so offer the dispatch to every
@@ -849,7 +901,7 @@ and activate t th now =
       th.state <- Blocked;
       obs_emit t ~code:Hsfq_obs.Trace.ev_sleep ~a:th.tid ~b:th.leaf ~c:2 ~d:0
     | `Exit ->
-      th.state <- Exited;
+      mark_exited t th;
       obs_emit t ~code:Hsfq_obs.Trace.ev_kill ~a:th.tid ~b:th.leaf ~c:1 ~d:0;
       (leaf_sched t th.leaf).detach th.tid;
       release_mutex_links t th
@@ -905,7 +957,7 @@ let kill t tid =
        knows the thread, so the donation revoke finds its record. *)
     release_mutex_links t th;
     (leaf_sched t th.leaf).detach tid;
-    th.state <- Exited;
+    mark_exited t th;
     th.suspended <- false;
     th.wake_pending <- false
   end
@@ -913,7 +965,10 @@ let kill t tid =
 (* The only sanctioned [th.leaf <- _] site: every retarget must come
    through [move], which also migrates ready-set membership and
    donations (the source lint's [leaf-retarget] rule enforces this). *)
-let retarget_leaf th ~to_leaf = th.leaf <- to_leaf
+let retarget_leaf t th ~to_leaf =
+  count_live t th.leaf (-1);
+  count_live t to_leaf 1;
+  th.leaf <- to_leaf
 
 (* After a thread changes leaf, the donations aimed at it are stale:
    every waiter on a mutex it holds must re-donate iff it now shares the
@@ -947,7 +1002,7 @@ let move t tid ~to_leaf =
          any outstanding donation there — before the retarget, so the
          revoke hits the scheduler actually holding the donated weight. *)
       (leaf_sched t th.leaf).detach tid;
-      retarget_leaf th ~to_leaf;
+      retarget_leaf t th ~to_leaf;
       (match th.waiting_mutex with
       | Some m -> (
         (* Still waiting: re-donate in the new leaf iff it is now the
@@ -960,7 +1015,7 @@ let move t tid ~to_leaf =
     | Runnable ->
       detach_runnable t th;
       (leaf_sched t th.leaf).detach tid;
-      retarget_leaf th ~to_leaf;
+      retarget_leaf t th ~to_leaf;
       let now = Sim.now t.sim in
       (leaf_sched t to_leaf).enqueue ~now tid;
       if not (Hierarchy.is_runnable t.hier to_leaf) then
@@ -1135,13 +1190,10 @@ let uninstall_leaf t leaf =
   let lf = leaf_sched t leaf in
   if lf.backlogged () > 0 then
     invalid_arg "Kernel.uninstall_leaf: leaf still has runnable threads";
-  Hashtbl.iter
-    (fun _ th ->
-      if th.leaf = leaf && th.state <> Exited then
-        invalid_arg "Kernel.uninstall_leaf: a live thread still belongs to the leaf")
-    t.threads;
+  if live_count t leaf > 0 then
+    invalid_arg "Kernel.uninstall_leaf: a live thread still belongs to the leaf";
   Hashtbl.remove t.leaves leaf;
-  t.leaf_cache.(leaf) <- None
+  t.leaf_cache.(leaf) <- t.no_leaf
 
 let dump t =
   let module V = Hsfq_check.Kernel_audit in

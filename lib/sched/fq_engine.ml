@@ -2,10 +2,26 @@ type key = Start_tag | Finish_tag | Arrival | Requeue
 type length = Hint | Actual
 type clock = Gps_round | In_service | Global_pass | Wall_clock | No_clock
 
-(* Per-client lifecycle, one byte per slot. *)
-let st_absent = '\000'
-let st_blocked = '\001'
-let st_runnable = '\002'
+(* Per-client lifecycle, the first int of a slot's [iv] triple. *)
+let st_absent = 0
+let st_blocked = 1
+let st_runnable = 2
+
+(* Offsets within a slot's [fv] quintuple ([5 * slot + _]) and [iv]
+   triple ([3 * slot + _]). *)
+let f_weight = 0
+let f_start = 1
+    (* start tag of the pending quantum; stride's pass; the queue key
+       of an [Arrival]/[Requeue] client *)
+let f_pendf = 2 (* finish tag of the pending quantum (Hint) *)
+let f_finish = 3 (* finish tag of the last charged quantum *)
+let f_lead = 4 (* Global_pass: pass - v, saved at block *)
+let i_state = 0
+let i_gen = 1 (* generation of the slot's queued entry *)
+let i_id = 2 (* client id; -1 = free *)
+
+let[@inline always] fx slot f = (5 * slot) + f
+let[@inline always] ix slot i = (3 * slot) + i
 
 (* Tags and weights are never NaN here (weights are validated, services
    are non-negative), so a bare compare — which inlines, unlike the
@@ -18,17 +34,9 @@ type t = {
   key : key;
   length : length;
   clock : clock;
-  mutable cap : int; (* length of every per-slot column *)
-  mutable weightv : float array;
-  mutable startv : float array;
-      (* start tag of the pending quantum; stride's pass; the queue key
-         of an [Arrival]/[Requeue] client *)
-  mutable pendfv : float array; (* finish tag of the pending quantum (Hint) *)
-  mutable finishv : float array; (* finish tag of the last charged quantum *)
-  mutable leadv : float array; (* Global_pass: pass - v, saved at block *)
-  mutable statev : Bytes.t;
-  mutable genv : int array; (* generation of the slot's queued entry *)
-  mutable idv : int array; (* slot -> client id; -1 = free *)
+  mutable cap : int; (* slots in [fv] and [iv] *)
+  mutable fv : float array; (* stride 5: weight, start, pendf, finish, lead *)
+  mutable iv : int array; (* stride 3: state, gen, client id *)
   slot_of : (int, int) Hashtbl.t; (* id -> slot: arrive/depart/set_weight *)
   mutable top : int; (* slots [0, top) are in use or on the free stack *)
   mutable freev : int array;
@@ -64,14 +72,8 @@ let create ~name ~label ~key ~length ~clock ?(capacity = 1.0) ~quantum_hint () =
       length;
       clock;
       cap = 0;
-      weightv = [||];
-      startv = [||];
-      pendfv = [||];
-      finishv = [||];
-      leadv = [||];
-      statev = Bytes.empty;
-      genv = [||];
-      idv = [||];
+      fv = [||];
+      iv = [||];
       slot_of = Hashtbl.create 16;
       top = 0;
       freev = [||];
@@ -91,7 +93,7 @@ let create ~name ~label ~key ~length ~clock ?(capacity = 1.0) ~quantum_hint () =
      entry left behind by a departure stays dead when its slot or its
      id comes back. *)
   Keyed_heap.set_validator queue (fun ~id ~gen ->
-      id < t.cap && Char.equal (Bytes.get t.statev id) st_runnable && t.genv.(id) = gen);
+      id < t.cap && t.iv.(ix id i_state) = st_runnable && t.iv.(ix id i_gen) = gen);
   t
 
 (* id -> slot, -1 if unknown: find-on-hit allocates nothing. *)
@@ -99,26 +101,15 @@ let lookup t id = match Hashtbl.find t.slot_of id with s -> s | exception Not_fo
 
 let grow t =
   let ncap = Int.max 16 (2 * t.cap) in
-  let floats a =
-    let n = Array.make ncap 0. in
-    Array.blit a 0 n 0 t.cap;
-    n
-  in
-  t.weightv <- floats t.weightv;
-  t.startv <- floats t.startv;
-  t.pendfv <- floats t.pendfv;
-  t.finishv <- floats t.finishv;
-  t.leadv <- floats t.leadv;
-  let st = Bytes.make ncap st_absent in
-  Bytes.blit t.statev 0 st 0 t.cap;
-  t.statev <- st;
-  let ints a fill =
-    let n = Array.make ncap fill in
-    Array.blit a 0 n 0 t.cap;
-    n
-  in
-  t.genv <- ints t.genv 0;
-  t.idv <- ints t.idv (-1);
+  let nf = Array.make (5 * ncap) 0. in
+  Array.blit t.fv 0 nf 0 (5 * t.cap);
+  t.fv <- nf;
+  let ni = Array.make (3 * ncap) st_absent in
+  Array.blit t.iv 0 ni 0 (3 * t.cap);
+  for s = t.cap to ncap - 1 do
+    ni.(ix s i_id) <- -1
+  done;
+  t.iv <- ni;
   t.cap <- ncap
 
 let alloc_slot t =
@@ -145,7 +136,7 @@ let free_slot t slot =
    argument would box under -opaque). *)
 let push t slot =
   t.next_gen <- t.next_gen + 1;
-  t.genv.(slot) <- t.next_gen;
+  t.iv.(ix slot i_gen) <- t.next_gen;
   Keyed_heap.push_staged t.queue ~gen:t.next_gen ~id:slot
 
 (* Tag the next quantum and queue it. [wake] is true for a client that
@@ -156,57 +147,56 @@ let enqueue t slot ~wake =
   | Arrival ->
     if wake then begin
       t.v.seq <- t.v.seq +. 1.;
-      t.startv.(slot) <- t.v.seq
+      t.fv.(fx slot f_start) <- t.v.seq
     end;
-    t.kstage.(0) <- t.startv.(slot)
+    t.kstage.(0) <- t.fv.(fx slot f_start)
   | Requeue ->
     t.v.seq <- t.v.seq +. 1.;
     t.kstage.(0) <- t.v.seq
   | Start_tag | Finish_tag -> (
     (match t.clock with
     | Global_pass ->
-      if wake then t.startv.(slot) <- t.v.vt +. fmax 0. t.leadv.(slot)
-      else t.startv.(slot) <- t.finishv.(slot)
+      if wake then t.fv.(fx slot f_start) <- t.v.vt +. fmax 0. t.fv.(fx slot f_lead)
+      else t.fv.(fx slot f_start) <- t.fv.(fx slot f_finish)
     | Gps_round | In_service | Wall_clock | No_clock ->
-      t.startv.(slot) <- fmax t.v.vt t.finishv.(slot));
+      t.fv.(fx slot f_start) <- fmax t.v.vt t.fv.(fx slot f_finish));
     (match t.length with
-    | Hint -> t.pendfv.(slot) <- t.startv.(slot) +. (t.v.lhat /. t.weightv.(slot))
+    | Hint ->
+      t.fv.(fx slot f_pendf) <-
+        t.fv.(fx slot f_start) +. (t.v.lhat /. t.fv.(fx slot f_weight))
     | Actual -> ());
     match t.key with
-    | Finish_tag -> t.kstage.(0) <- t.pendfv.(slot)
-    | Start_tag | Arrival | Requeue -> t.kstage.(0) <- t.startv.(slot)));
+    | Finish_tag -> t.kstage.(0) <- t.fv.(fx slot f_pendf)
+    | Start_tag | Arrival | Requeue -> t.kstage.(0) <- t.fv.(fx slot f_start)));
   push t slot
 
 (* A runnable client leaves the backlog; an empty backlog weighs exactly
    0, whatever rounding the +./-. updates left behind. *)
 let leave_backlog t slot =
-  t.v.sum <- t.v.sum -. t.weightv.(slot);
+  t.v.sum <- t.v.sum -. t.fv.(fx slot f_weight);
   t.nrun <- t.nrun - 1;
   if t.nrun = 0 then t.v.sum <- 0.
 
 let register t ~id ~weight =
   if weighted t && not (weight > 0.) then invalid_arg (t.label ^ ".arrive: weight <= 0");
   let slot = alloc_slot t in
-  t.idv.(slot) <- id;
+  t.iv.(ix slot i_id) <- id;
   Hashtbl.replace t.slot_of id slot;
-  t.weightv.(slot) <- weight;
-  t.startv.(slot) <- 0.;
-  t.pendfv.(slot) <- 0.;
-  t.finishv.(slot) <- 0.;
-  t.leadv.(slot) <- 0.;
+  t.fv.(fx slot f_weight) <- weight;
+  Array.fill t.fv (fx slot f_start) 4 0.;
   slot
 
 let arrive t ~id ~weight =
   let slot = lookup t id in
   let slot =
     if slot >= 0 then
-      if Char.equal (Bytes.get t.statev slot) st_blocked then slot
+      if t.iv.(ix slot i_state) = st_blocked then slot
       else -1 (* already runnable: idempotent *)
     else register t ~id ~weight
   in
   if slot >= 0 then begin
-    Bytes.set t.statev slot st_runnable;
-    t.v.sum <- t.v.sum +. t.weightv.(slot);
+    t.iv.(ix slot i_state) <- st_runnable;
+    t.v.sum <- t.v.sum +. t.fv.(fx slot f_weight);
     t.nrun <- t.nrun + 1;
     enqueue t slot ~wake:true
   end
@@ -214,14 +204,14 @@ let arrive t ~id ~weight =
 let depart t ~id =
   let slot = lookup t id in
   if slot >= 0 then begin
-    if Char.equal (Bytes.get t.statev slot) st_runnable then begin
+    if t.iv.(ix slot i_state) = st_runnable then begin
       leave_backlog t slot;
       (* A runnable client not in service has one queued entry; it just
          went stale. *)
       if t.svc = slot then t.svc <- -1 else Keyed_heap.invalidate t.queue
     end;
-    Bytes.set t.statev slot st_absent;
-    t.idv.(slot) <- -1;
+    t.iv.(ix slot i_state) <- st_absent;
+    t.iv.(ix slot i_id) <- -1;
     Hashtbl.remove t.slot_of id;
     free_slot t slot
   end
@@ -231,9 +221,9 @@ let set_weight t ~id ~weight =
     if not (weight > 0.) then invalid_arg (t.label ^ ".set_weight: weight <= 0");
     let slot = lookup t id in
     if slot < 0 then invalid_arg (Printf.sprintf "%s: unknown client %d" t.name id);
-    if Char.equal (Bytes.get t.statev slot) st_runnable then
-      t.v.sum <- t.v.sum -. t.weightv.(slot) +. weight;
-    t.weightv.(slot) <- weight
+    if t.iv.(ix slot i_state) = st_runnable then
+      t.v.sum <- t.v.sum -. t.fv.(fx slot f_weight) +. weight;
+    t.fv.(fx slot f_weight) <- weight
   end
 
 let select t =
@@ -245,12 +235,12 @@ let select t =
     (match t.clock with
     | In_service -> t.v.vt <- t.klast.(0)
     | Gps_round | Global_pass | Wall_clock | No_clock -> ());
-    t.idv.(slot)
+    t.iv.(ix slot i_id)
   end
 
 let charge t ~id ~service ~runnable =
   let slot = t.svc in
-  if slot < 0 || t.idv.(slot) <> id then
+  if slot < 0 || t.iv.(ix slot i_id) <> id then
     invalid_arg (t.label ^ ".charge: client not in service");
   if service < 0 then invalid_arg (t.label ^ ".charge: negative service");
   let service = float_of_int service in
@@ -262,14 +252,16 @@ let charge t ~id ~service ~runnable =
   (match t.key with
   | Start_tag | Finish_tag -> (
     match t.length with
-    | Hint -> t.finishv.(slot) <- t.pendfv.(slot)
-    | Actual -> t.finishv.(slot) <- t.startv.(slot) +. (service /. t.weightv.(slot)))
+    | Hint -> t.fv.(fx slot f_finish) <- t.fv.(fx slot f_pendf)
+    | Actual ->
+      t.fv.(fx slot f_finish) <-
+        t.fv.(fx slot f_start) +. (service /. t.fv.(fx slot f_weight)))
   | Arrival | Requeue -> ());
   if runnable then enqueue t slot ~wake:false
   else begin
-    Bytes.set t.statev slot st_blocked;
+    t.iv.(ix slot i_state) <- st_blocked;
     (match t.clock with
-    | Global_pass -> t.leadv.(slot) <- t.finishv.(slot) -. t.v.vt
+    | Global_pass -> t.fv.(fx slot f_lead) <- t.fv.(fx slot f_finish) -. t.v.vt
     | Gps_round | In_service | Wall_clock | No_clock -> ());
     leave_backlog t slot
   end

@@ -7,10 +7,10 @@
     {!Wfq}, {!Scfq}, {!Fqs}, {!Stride}, {!Round_robin}, {!Fifo_sched}
     and {!Gps_vt} are few-line instances of it.
 
-    Client state lives in slot-indexed columns in the style of
-    {!Hsfq_core.Sfq}: float columns for the weight and the tags, a byte
-    column for the lifecycle state, int columns for the heap generation
-    and the client id, and a free-slot stack. v(t) and the weight sum
+    Client state lives in a slot table in the style of
+    {!Hsfq_core.Sfq}: one float block holding each slot's weight and
+    four tags side by side, one int block holding its lifecycle state,
+    heap generation and client id, and a free-slot stack. v(t) and the weight sum
     sit in an all-float record, so updating them stores unboxed floats.
     The ready queue is a {!Keyed_heap} of slots fed through
     [push_staged]/[pop_valid]. The id-to-slot table is touched only by

@@ -1,9 +1,10 @@
 (* Structure-of-arrays binary min-heap on (key, seq), carrying (gen, id).
 
    The hot path of every scheduler in this repository is push/pop on this
-   heap, so the representation is four parallel flat arrays instead of a
-   boxed entry record behind a polymorphic comparator: a push writes one
-   float and three ints, a pop swaps array cells — no per-entry
+   heap, so the representation is two flat blocks (the float keys, and
+   an interleaved int block of seq/gen/id) instead of a boxed entry
+   record behind a polymorphic comparator: a push writes one float and
+   three adjacent ints, a pop swaps array cells — no per-entry
    allocation, no closure call per comparison.
 
    Lazy deletion needs a backstop: a client that cycles
@@ -14,36 +15,38 @@
    push compacts the arrays in place and re-heapifies (O(n), amortized
    O(1) per stale entry). *)
 
+(* Entry [i]'s key is [keys.(i)]; its sequence number, generation and
+   id are [meta.(3i)], [meta.(3i+1)] and [meta.(3i+2)]: one int block
+   beside the float block, so a comparison or swap touches two arrays,
+   not four. *)
 type t = {
   mutable keys : float array;
-  mutable seqs : int array;
-  mutable gens : int array;
-  mutable ids : int array;
+  mutable meta : int array; (* stride 3: seq, gen, id *)
   mutable size : int;
   mutable next_seq : int;
   mutable stale : int; (* caller-reported invalidations still queued *)
-  mutable validator : (id:int -> gen:int -> bool) option;
+  mutable validator : id:int -> gen:int -> bool;
   last : float array; (* key of the most recently popped entry *)
   stage : float array; (* key for the next [push_staged] *)
   peeked : float array; (* key of the most recently peeked entry *)
 }
 
+let no_validator ~id:_ ~gen:_ = invalid_arg "Keyed_heap: no validator installed"
+
 let create () =
   {
     keys = [||];
-    seqs = [||];
-    gens = [||];
-    ids = [||];
+    meta = [||];
     size = 0;
     next_seq = 0;
     stale = 0;
-    validator = None;
+    validator = no_validator;
     last = [| 0. |];
     stage = [| 0. |];
     peeked = [| 0. |];
   }
 
-let set_validator t valid = t.validator <- Some valid
+let set_validator t valid = t.validator <- valid
 let invalidate t = t.stale <- t.stale + 1
 
 let size t = t.size
@@ -65,21 +68,22 @@ let clear t =
 (* Strict ordering: smaller key first, FIFO (push sequence) among ties. *)
 let lt t i j =
   let ki = t.keys.(i) and kj = t.keys.(j) in
-  if ki < kj then true else if kj < ki then false else t.seqs.(i) < t.seqs.(j)
+  if ki < kj then true
+  else if kj < ki then false
+  else t.meta.(3 * i) < t.meta.(3 * j)
 
 let swap t i j =
   let k = t.keys.(i) in
   t.keys.(i) <- t.keys.(j);
   t.keys.(j) <- k;
-  let s = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- s;
-  let g = t.gens.(i) in
-  t.gens.(i) <- t.gens.(j);
-  t.gens.(j) <- g;
-  let d = t.ids.(i) in
-  t.ids.(i) <- t.ids.(j);
-  t.ids.(j) <- d
+  let m = t.meta and a = 3 * i and b = 3 * j in
+  let s = m.(a) and g = m.(a + 1) and d = m.(a + 2) in
+  m.(a) <- m.(b);
+  m.(a + 1) <- m.(b + 1);
+  m.(a + 2) <- m.(b + 2);
+  m.(b) <- s;
+  m.(b + 1) <- g;
+  m.(b + 2) <- d
 
 let rec sift_up t i =
   if i > 0 then begin
@@ -108,24 +112,19 @@ let grow t =
     let nk = Array.make ncap 0. in
     Array.blit t.keys 0 nk 0 t.size;
     t.keys <- nk;
-    let ns = Array.make ncap 0 in
-    Array.blit t.seqs 0 ns 0 t.size;
-    t.seqs <- ns;
-    let ng = Array.make ncap 0 in
-    Array.blit t.gens 0 ng 0 t.size;
-    t.gens <- ng;
-    let ni = Array.make ncap 0 in
-    Array.blit t.ids 0 ni 0 t.size;
-    t.ids <- ni
+    let nm = Array.make (3 * ncap) 0 in
+    Array.blit t.meta 0 nm 0 (3 * t.size);
+    t.meta <- nm
   end
 
-(* Keep [i]'s entry, moving it down to slot [j] (j <= i). *)
+(* Keep [src]'s entry, moving it down to slot [dst] (dst <= src). *)
 let keep t ~src ~dst =
   if dst <> src then begin
     t.keys.(dst) <- t.keys.(src);
-    t.seqs.(dst) <- t.seqs.(src);
-    t.gens.(dst) <- t.gens.(src);
-    t.ids.(dst) <- t.ids.(src)
+    let m = t.meta and a = 3 * src and b = 3 * dst in
+    m.(b) <- m.(a);
+    m.(b + 1) <- m.(a + 1);
+    m.(b + 2) <- m.(a + 2)
   end
 
 (* Capacity release: arrays only ever doubled before this existed, so a
@@ -155,30 +154,26 @@ let shrink_if_sparse t =
     let ncap = pow2_above ~floor:16 (2 * t.size) in
     if ncap < cap then begin
       t.keys <- Array.sub t.keys 0 ncap;
-      t.seqs <- Array.sub t.seqs 0 ncap;
-      t.gens <- Array.sub t.gens 0 ncap;
-      t.ids <- Array.sub t.ids 0 ncap
+      t.meta <- Array.sub t.meta 0 (3 * ncap)
     end
   end
 
 let compact t =
-  match t.validator with
-  | None -> ()
-  | Some valid ->
-    let j = ref 0 in
-    for i = 0 to t.size - 1 do
-      if valid ~id:t.ids.(i) ~gen:t.gens.(i) then begin
-        keep t ~src:i ~dst:!j;
-        incr j
-      end
-    done;
-    t.size <- !j;
-    t.stale <- 0;
-    (* Floyd heapify: O(n). *)
-    for i = (t.size / 2) - 1 downto 0 do
-      sift_down t i
-    done;
-    shrink_if_sparse t
+  let valid = t.validator in
+  let j = ref 0 in
+  for i = 0 to t.size - 1 do
+    if valid ~id:t.meta.((3 * i) + 2) ~gen:t.meta.((3 * i) + 1) then begin
+      keep t ~src:i ~dst:!j;
+      incr j
+    end
+  done;
+  t.size <- !j;
+  t.stale <- 0;
+  (* Floyd heapify: O(n). *)
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i
+  done;
+  shrink_if_sparse t
 
 (* Compaction pays off only once stale entries dominate and the heap is
    big enough for the O(n) rebuild to beat their log-factor drag. *)
@@ -191,9 +186,9 @@ let push_staged t ~gen ~id =
   grow t;
   let i = t.size in
   t.keys.(i) <- t.stage.(0);
-  t.seqs.(i) <- t.next_seq;
-  t.gens.(i) <- gen;
-  t.ids.(i) <- id;
+  t.meta.(3 * i) <- t.next_seq;
+  t.meta.((3 * i) + 1) <- gen;
+  t.meta.((3 * i) + 2) <- id;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
   sift_up t i
@@ -219,55 +214,44 @@ let dropped_stale t = if t.stale > 0 then t.stale <- t.stale - 1
 (* Pop and peek against the installed validator, allocation-free: the
    entry's id (or -1 on empty), its key readable via [last_key] /
    [peeked_key_cell]. The loops are top-level functions — a local
-   [let rec] would allocate a closure over [t] and [valid] on every
-   call. *)
-let rec pop_valid_loop t valid =
+   [let rec] would allocate a closure over [t] on every call. *)
+let rec pop_valid t =
   if t.size = 0 then -1
   else begin
-    let key = t.keys.(0) and gen = t.gens.(0) and id = t.ids.(0) in
+    let key = t.keys.(0) and gen = t.meta.(1) and id = t.meta.(2) in
     remove_top t;
-    if valid ~id ~gen then begin
+    if t.validator ~id ~gen then begin
       t.last.(0) <- key;
       id
     end
     else begin
       dropped_stale t;
-      pop_valid_loop t valid
+      pop_valid t
     end
   end
 
-let pop_valid t =
-  match t.validator with
-  | None -> invalid_arg "Keyed_heap.pop_valid: no validator installed"
-  | Some valid -> pop_valid_loop t valid
-
-let rec peek_valid_loop t valid =
+let rec peek_valid t =
   if t.size = 0 then -1
   else begin
-    let gen = t.gens.(0) and id = t.ids.(0) in
-    if valid ~id ~gen then begin
+    let gen = t.meta.(1) and id = t.meta.(2) in
+    if t.validator ~id ~gen then begin
       t.peeked.(0) <- t.keys.(0);
       id
     end
     else begin
       remove_top t;
       dropped_stale t;
-      peek_valid_loop t valid
+      peek_valid t
     end
   end
-
-let peek_valid t =
-  match t.validator with
-  | None -> invalid_arg "Keyed_heap.peek_valid: no validator installed"
-  | Some valid -> peek_valid_loop t valid
 
 let stale_bound t = t.stale
 
 let capacity t = Array.length t.keys
 
-(* Retained words across the four columns (floats are unboxed in a
-   float array: 1 word each, plus 3 int columns and headers). *)
-let footprint_words t = (4 * Array.length t.keys) + 8
+(* Retained words of the two blocks: per entry slot one unboxed float
+   key and three ints, plus the two array headers. *)
+let footprint_words t = (4 * Array.length t.keys) + 2
 
 (* Rewrite queued entry ids through [map] (old id -> new id, negative =
    no mapping). Used by owners that renumber their dense tables under
@@ -279,6 +263,6 @@ let footprint_words t = (4 * Array.length t.keys) + 8
 let remap_ids t map =
   let n = Array.length map in
   for i = 0 to t.size - 1 do
-    let s = t.ids.(i) in
-    if s >= 0 && s < n && map.(s) >= 0 then t.ids.(i) <- map.(s)
+    let s = t.meta.((3 * i) + 2) in
+    if s >= 0 && s < n && map.(s) >= 0 then t.meta.((3 * i) + 2) <- map.(s)
   done

@@ -7,10 +7,10 @@
     insertion order (FIFO), making runs deterministic — the paper's
     "ties are broken arbitrarily".
 
-    The representation is structure-of-arrays ([float array] keys plus
-    [int array] seq/gen/id): pushes and pops allocate nothing in steady
-    state, and comparisons are inlined rather than dispatched through a
-    closure.
+    The representation is two flat blocks: a [float array] of keys and
+    one [int array] holding each entry's seq, gen and id side by side.
+    Pushes and pops allocate nothing in steady state, and comparisons
+    are inlined rather than dispatched through a closure.
 
     Lazy deletion alone lets a heap grow without bound (a client cycling
     arrive -> block without being selected adds one stale entry per
@@ -27,7 +27,8 @@ val create : unit -> t
 val set_validator : t -> (id:int -> gen:int -> bool) -> unit
 (** Install the predicate used by compaction, {!pop_valid} and
     {!peek_valid}. Typically a single closure built once at scheduler
-    creation. *)
+    creation. Until one is installed, the default predicate raises
+    [Invalid_argument]. *)
 
 val invalidate : t -> unit
 (** Note that one queued entry just went stale (its client's generation
@@ -47,14 +48,15 @@ val pop_valid : t -> int
 (** Pop the minimum-key entry for which the installed validator holds,
     discarding stale entries along the way: returns the popped id, or
     [-1] if no valid entry remains. The popped entry's key is readable
-    via {!last_key}. Allocation-free. Raises [Invalid_argument] if no
-    validator was installed. *)
+    via {!last_key}. Allocation-free. Raises [Invalid_argument] if a
+    queued entry meets no installed validator. *)
 
 val peek_valid : t -> int
 (** Like {!pop_valid} but leaves the entry in place (the stale prefix is
     still discarded): the minimum-key valid entry's id, or [-1] if none.
     Its key is readable via {!peeked_key_cell}. Raises
-    [Invalid_argument] if no validator was installed. *)
+    [Invalid_argument] if a queued entry meets no installed
+    validator. *)
 
 val last_key : t -> float
 (** Key of the most recently popped entry. *)
@@ -73,8 +75,8 @@ val peeked_key_cell : t -> float array
     hit; same caching discipline as {!last_key_cell}. *)
 
 val compact : t -> unit
-(** Drop every stale entry now (needs an installed validator; no-op
-    otherwise). Normally triggered automatically by {!push}. Also
+(** Drop every stale entry now (raises [Invalid_argument] on a
+    non-empty heap with no installed validator). Normally triggered automatically by {!push}. Also
     releases capacity: whenever live entries fall below a quarter of
     the array capacity (and capacity exceeds 1024 — smaller arrays are
     kept, so heaps that drain and refill every cycle never thrash),
@@ -106,5 +108,6 @@ val capacity : t -> int
     footprint accounting). *)
 
 val footprint_words : t -> int
-(** Approximate retained heap words of the four columns, headers
-    included (deterministic — array lengths, not GC sampling). *)
+(** Approximate retained heap words of the key and seq/gen/id blocks,
+    headers included (deterministic — array lengths, not GC
+    sampling). *)
