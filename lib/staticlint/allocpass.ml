@@ -44,10 +44,12 @@ let default_configs =
       cold = [ "grow"; "slot_lookup"; "register"; "compact"; "free_slot" ];
     };
     (* The kernel's entry points one level up: a decision
-       ([schedule_id]/[update_ns]) and a wake or sleep walk. *)
+       ([schedule_id]/[update_ns]), a wake or sleep walk, and the
+       [depth]/[is_runnable] probes every dispatch and detach makes. *)
     {
       source = "lib/core/hierarchy.ml";
-      roots = [ "schedule_id"; "update_ns"; "setrun"; "sleep" ];
+      roots =
+        [ "schedule_id"; "update_ns"; "setrun"; "sleep"; "depth"; "is_runnable" ];
       cold = [];
     };
     {

@@ -557,6 +557,56 @@ let test_compaction_keeps_children_dispatchable () =
   Hsfq_check.Hierarchy_audit.check_all sink t;
   check_int "audit clean" 0 (Hsfq_check.Invariant.count sink)
 
+(* The kernel's per-decision hierarchy calls allocate nothing: on a
+   balanced depth-10 tree with every one of its 1024 leaves runnable,
+   a steady-state [schedule_id] + [update_ns] + [depth] + [is_runnable]
+   costs 0 minor words. *)
+let test_decision_zero_alloc () =
+  let t = Hierarchy.create () in
+  let weights = [| 0.1; 0.7; 1. /. 3.; 2.5 |] in
+  let rec grow parent depth i =
+    if depth = 10 then [ parent ]
+    else
+      List.concat_map
+        (fun side ->
+          let kind = if depth = 9 then Hierarchy.Leaf else Hierarchy.Internal in
+          let child =
+            ok "mknod"
+              (Hierarchy.mknod t ~name:(if side = 0 then "l" else "r") ~parent
+                 ~weight:weights.((i + side) mod 4) kind)
+          in
+          grow child (depth + 1) ((2 * i) + side))
+        [ 0; 1 ]
+  in
+  let leaves = grow Hierarchy.root 0 0 in
+  check_int "leaves" 1024 (List.length leaves);
+  List.iter
+    (fun leaf ->
+      check_int "leaf depth" 10 (Hierarchy.depth t leaf);
+      Hierarchy.setrun t leaf)
+    leaves;
+  let acc = ref 0 in
+  let cycle () =
+    let leaf = Hierarchy.schedule_id t in
+    Hierarchy.update_ns t ~leaf ~service_ns:1_000_000 ~leaf_runnable:true;
+    acc := !acc + Hierarchy.depth t leaf;
+    if Hierarchy.is_runnable t leaf then incr acc
+  in
+  for _ = 1 to 5_000 do
+    cycle ()
+  done;
+  let n = 10_000 in
+  acc := 0;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    cycle ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "every pick a runnable depth-10 leaf" (11 * n) !acc;
+  if words > 0. then
+    Alcotest.failf "%.3f minor words per decision (budget 0)"
+      (words /. float_of_int n)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "hierarchy"
@@ -601,6 +651,8 @@ let () =
             test_churn_reclaims_and_redispatches;
           Alcotest.test_case "compaction keeps children dispatchable" `Quick
             test_compaction_keeps_children_dispatchable;
+          Alcotest.test_case "depth-10 decision allocates nothing" `Quick
+            test_decision_zero_alloc;
         ] );
       ( "properties",
         [

@@ -925,6 +925,49 @@ let make2 () =
   Kernel.install_leaf k l2 lf2;
   (k, l1, sfq1, l2, sfq2)
 
+(* [uninstall_leaf] keeps a per-leaf count of threads not yet Exited:
+   it must still refuse a leaf holding a Created, a Blocked or a
+   suspended thread, and accept it once every thread exited (killed or
+   on its own) or moved out. *)
+let test_uninstall_leaf_live_threads () =
+  let k, l1, sfq1, l2, sfq2 = make2 () in
+  let rejects what =
+    Alcotest.check_raises what
+      (Invalid_argument
+         "Kernel.uninstall_leaf: a live thread still belongs to the leaf")
+      (fun () -> Kernel.uninstall_leaf k l2)
+  in
+  let _hog = spawn_started k l1 sfq1 ~name:"hog" (W.forever_compute (Time.seconds 10)) in
+  let created = Kernel.spawn k ~name:"created" ~leaf:l2 (W.forever_compute 1) in
+  Leaf_sched.Sfq_leaf.add sfq2 ~tid:created ~weight:1.;
+  let sleeper =
+    spawn_started k l2 sfq2 ~name:"sleeper"
+      (W.of_list [ W.Sleep_for (Time.seconds 10); W.Exit ])
+  in
+  let parked =
+    spawn_started k l2 sfq2 ~name:"parked" (W.forever_compute (Time.seconds 10))
+  in
+  check_bool "parked waits behind the hog" true (Kernel.state k parked = Kernel.Runnable);
+  Kernel.suspend k parked;
+  let quick =
+    spawn_started k l2 sfq2 ~name:"quick"
+      (W.of_list [ W.Compute (Time.milliseconds 1); W.Exit ])
+  in
+  Kernel.run_until k (Time.milliseconds 200);
+  check_bool "quick exited on its own" true (Kernel.state k quick = Kernel.Exited);
+  check_bool "sleeper blocked" true (Kernel.state k sleeper = Kernel.Blocked);
+  rejects "created, blocked and suspended threads";
+  Kernel.kill k created;
+  rejects "blocked and suspended threads";
+  Kernel.move k sleeper ~to_leaf:l1;
+  rejects "a suspended thread";
+  Kernel.kill k parked;
+  Kernel.uninstall_leaf k l2;
+  Alcotest.check_raises "leaf gone"
+    (Invalid_argument
+       (Printf.sprintf "Kernel: no leaf scheduler installed on node %d" l2))
+    (fun () -> ignore (Kernel.spawn k ~name:"late" ~leaf:l2 (W.forever_compute 1)))
+
 (* Killing a waiter parked mid-queue must drop its queue entry and revoke
    its donation on the spot; a stale entry used to crash the grant path
    (donating on behalf of a departed client) when the holder released. *)
@@ -1547,6 +1590,8 @@ let () =
             test_suspended_io_completion_banked;
           Alcotest.test_case "lifecycle matrix" `Quick test_lifecycle_matrix;
           Alcotest.test_case "move validation" `Quick test_move_validation;
+          Alcotest.test_case "uninstall counts live threads" `Quick
+            test_uninstall_leaf_live_threads;
         ] );
       ( "multiprocessor",
         [
