@@ -145,6 +145,41 @@ let hierarchy_decision_micro ~depth =
           ~leaf_runnable:true);
   }
 
+(* The same decision on a wide tree: a balanced binary hierarchy of
+   depth 10 with all 1024 leaves runnable (non-dyadic weights), so
+   successive decisions walk different root-to-leaf paths through 2047
+   nodes and 1023 SFQ instances instead of re-walking one hot chain. *)
+let hierarchy_wide_micro () =
+  let h = Core.Hierarchy.create () in
+  let weights = [| 0.1; 0.7; 1. /. 3.; 2.5 |] in
+  let rec grow parent depth i =
+    for side = 0 to 1 do
+      let kind =
+        if depth = 9 then Core.Hierarchy.Leaf else Core.Hierarchy.Internal
+      in
+      match
+        Core.Hierarchy.mknod h
+          ~name:(if side = 0 then "l" else "r")
+          ~parent ~weight:weights.((i + side) mod 4) kind
+      with
+      | Ok id ->
+        if depth = 9 then Core.Hierarchy.setrun h id
+        else grow id (depth + 1) ((2 * i) + side)
+      | Error e -> invalid_arg e
+    done
+  in
+  grow Core.Hierarchy.root 0 0;
+  {
+    group = "hierarchy";
+    name = "hierarchy-wide/depth=10 leaves=1024";
+    fn =
+      (fun () ->
+        let leaf = Core.Hierarchy.schedule_id h in
+        if leaf < 0 then invalid_arg "bench: no runnable leaf";
+        Core.Hierarchy.update_ns h ~leaf ~service_ns:1_000_000
+          ~leaf_runnable:true);
+  }
+
 (* Tracepoint overhead: the hottest sfq/hierarchy decision micros with a
    tracer attached but disabled (the acceptance gate: within 5% of the
    bare hot path above) and attached + enabled (the cost of actually
@@ -322,6 +357,7 @@ let all_micros () =
           (module Sched.Round_robin);
         ];
       List.map (fun d -> hierarchy_decision_micro ~depth:d) [ 1; 4; 16; 32 ];
+      [ hierarchy_wide_micro () ];
       [
         obs_sfq_micro ~q:512 ~enabled:false;
         obs_sfq_micro ~q:512 ~enabled:true;

@@ -50,6 +50,10 @@ let bench_budgets =
        pass's findings + whitelist *)
     ("sfq/Q=512", 1.0); (* sentinel [select] + int-service charge: ~0 measured *)
     ("hierarchy/depth=16", 2.0); (* schedule_id/update_ns: ~0 measured *)
+    (* The cold-walk decision allocates nothing (test_hierarchy asserts
+       exactly 0 words); 0.1 sits above the harness's ~0.02-word
+       measurement floor and below any per-decision block. *)
+    ("hierarchy-wide/depth=10 leaves=1024", 0.1);
     ("keyed-heap/push+pop n=256", 1.0); (* zero-alloc contract *)
     ("event-queue/churn n=256", 64.0); (* fired-handle recycling keeps ~4 *)
     ("eevdf/Q=8", 1.0); (* SoA cells, sentinel FAIR select: ~0 *)
