@@ -128,7 +128,9 @@ val tids : t -> tid list
 val uninstall_leaf : t -> Hsfq_core.Hierarchy.id -> unit
 (** Detach the class scheduler from a leaf that no live thread belongs
     to (counterpart of {!install_leaf}, for [hsfq_rmnod]-style churn).
-    Raises [Invalid_argument] if a live thread still references it. *)
+    Raises [Invalid_argument] if a live thread still references it.
+    Constant time: the kernel keeps a per-leaf count of threads not yet
+    [Exited]. *)
 
 val dump : t -> Hsfq_check.Kernel_audit.view
 (** A structural snapshot — thread lifecycle states, mutex ownership and
