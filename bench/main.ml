@@ -12,16 +12,16 @@
    and minor-heap words allocated — because the flat-array hot path
    claims *both* a small constant and steady-state allocation freedom.
 
-   Part 3 times the parallel sweep (Par.sweep, domain-pool and
-   fork-based process backends) against the serial run on two
-   multi-second fan-outs — a 10k-seed torture sweep and the full
-   experiment suite — and records serial/parallel wall-clock under the
-   JSON's "sweeps" section.  The verdicts of every run are compared on
-   the spot: a speedup that changed the answer is a bug, not a result.
+   Part 3 times the parallel sweep (Par.sweep on the domain pool)
+   against the serial run on three multi-second fan-outs — two torture
+   seed-sweep shapes and the full experiment suite — and records
+   serial/parallel wall-clock under the JSON's "sweeps" section.  The
+   verdicts of every run are compared on the spot: a speedup that
+   changed the answer is a bug, not a result.
    Only rows with a measured speedup above 1.0x are written to the JSON
    (hsfq_bench_diff hard-gates the sweeps section, higher-is-better);
-   losing configurations are printed and dropped, and the full
-   both-backend story lives in doc/PERFORMANCE.md.
+   losing configurations are printed and dropped, and the measured
+   history lives in doc/PERFORMANCE.md.
 
    Results are emitted to BENCH_sched.json (override with --json PATH)
    so the performance trajectory is recorded across PRs; the before/after
@@ -34,7 +34,8 @@
                     determinism check — the @bench-smoke dune alias runs
                     this so the harness cannot bit-rot
      --micro-only   skip Parts 1 and 3 (used when iterating on the hot
-                    path) *)
+                    path); the "sweeps" object of the JSON file being
+                    overwritten is carried over, not erased *)
 
 open Bechamel
 open Toolkit
@@ -370,8 +371,7 @@ let all_micros () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: serial vs parallel wall-clock on the big fan-outs, on both   *)
-(* the domain-pool and the fork-based process backend.                  *)
+(* Part 3: serial vs parallel wall-clock on the big fan-outs.           *)
 (* ------------------------------------------------------------------ *)
 
 type sweep_row = {
@@ -392,58 +392,41 @@ type sweep_row = {
    the comparison the sweeps gate defends. *)
 let sweep_minor_heap = 4_000_000
 
-(* The PR-4 parallel inversion was stop-the-world minor GC, so the
-   sweeps section records GC pressure next to the timings.  The count
-   must ride back with each task result: a forked worker's collections
-   are invisible to the parent's own [Gc] counters (separate process),
-   and a domain's are only partially visible (shared global counters).
-   [counted f] works identically in the calling domain, a pool domain
-   and a forked worker. *)
+(* Stop-the-world minor GC is what once made parallel sweeps lose to
+   serial, so the sweeps section records GC pressure next to the
+   timings.  The count rides back with each task result, so [counted f]
+   works identically in the calling domain and a worker. *)
 let counted f x =
   let c0 = (Gc.quick_stat ()).Gc.minor_collections in
   let r = f x in
   (r, (Gc.quick_stat ()).Gc.minor_collections - c0)
 
-let measure ?backend ?minor_heap ~jobs ~tasks f =
+let measure ?minor_heap ~jobs ~tasks f =
   let t0 = Unix.gettimeofday () in
-  let out = Par.sweep ?backend ?minor_heap ~jobs ~tasks (counted f) in
+  let out = Par.sweep ?minor_heap ~jobs ~tasks (counted f) in
   let dt = Unix.gettimeofday () -. t0 in
   let gcs = Array.fold_left (fun acc (_, c) -> acc + c) 0 out in
   (Array.map fst out, dt, gcs)
 
 (* Measure [f] over [tasks] once serially (runtime-default nursery, no
-   pool, no fork) and return a closure measuring one parallel backend at
-   [jobs] workers with [sweep_minor_heap]-word worker nurseries against
-   that shared baseline, comparing results with [equal].
-
-   The two phases are split because backend ORDER is load-bearing: OCaml
-   5 permanently forbids Unix.fork once any domain has ever been spawned
-   in the process, so every process-backend measurement must run before
-   the first domain-pool one.  A closure lets run_sweeps make that a
-   global property across all sweeps (all fork rows, then all domain
-   rows) rather than a per-sweep accident — a fallback row silently
-   labeled "processes" would defend the wrong numbers. *)
+   domains) and once at [jobs] workers with [sweep_minor_heap]-word
+   worker nurseries, comparing results with [equal]: a speedup that
+   changed the answer is a bug, not a result. *)
 let make_sweep ~name ~jobs ~tasks ~equal f =
-  let serial, serial_s, serial_minor_gcs =
-    measure ~backend:Par.Serial ~jobs:1 ~tasks f
+  let serial, serial_s, serial_minor_gcs = measure ~jobs:1 ~tasks f in
+  let par, parallel_s, parallel_minor_gcs =
+    measure ~minor_heap:sweep_minor_heap ~jobs ~tasks f
   in
-  fun backend ->
-    let par, parallel_s, parallel_minor_gcs =
-      measure ~backend ~minor_heap:sweep_minor_heap ~jobs ~tasks f
-    in
-    if not (equal serial par) then
-      failwith
-        (Printf.sprintf "bench: %s verdicts differ on the %s backend" name
-           (Par.backend_to_string backend));
-    {
-      sweep_name =
-        Printf.sprintf "%s backend=%s" name (Par.backend_to_string backend);
-      jobs;
-      serial_s;
-      parallel_s;
-      serial_minor_gcs;
-      parallel_minor_gcs;
-    }
+  if not (equal serial par) then
+    failwith (Printf.sprintf "bench: %s verdicts differ from serial" name);
+  {
+    sweep_name = name;
+    jobs;
+    serial_s;
+    parallel_s;
+    serial_minor_gcs;
+    parallel_minor_gcs;
+  }
 
 (* Torture seed sweep: [seeds] independent lifecycle-stress runs.  Many
    short seeds rather than a few long ones: fan-out wins come from
@@ -492,40 +475,23 @@ let print_sweeps rows =
 
 let run_sweeps () =
   print_endline "\n==================================================================";
-  print_endline " Part 3: parallel sweeps, serial vs domains vs processes";
+  print_endline " Part 3: parallel sweeps, serial vs the domain pool";
   print_endline "==================================================================";
   (* At least two workers, even on a single-core box: a 1-vs-1 "sweep"
      would measure nothing.  On one core the domain pool is expected to
-     lose (oversubscription + stop-the-world rendezvous) while the
-     process backend can still win on worker-side GC tuning; the JSON
-     keeps only configurations that actually beat serial. *)
+     lose (oversubscription + stop-the-world rendezvous); the JSON keeps
+     only configurations that actually beat serial. *)
   let jobs = Int.max 2 (Par.default_jobs ()) in
   (* Two torture shapes: breadth (10k+ short seeds, the scale ROADMAP
-     asks the rig to sustain — fork/marshal overhead dominates) and
-     depth (few long seeds, where per-worker nursery sizing pays; this
-     is the configuration the committed speedup defends). *)
-  let sweeps =
+     asks the rig to sustain) and depth (few long seeds, where
+     per-worker nursery sizing pays). *)
+  let rows =
     [
       torture_sweep ~jobs ~seeds:10_240 ~ops:120;
       torture_sweep ~jobs ~seeds:16 ~ops:20_000;
       experiments_sweep ~jobs;
     ]
   in
-  (* Fork rows first, across ALL sweeps, then domain rows: once a domain
-     has been spawned Unix.fork is off the table for the rest of the
-     process, and Par.sweep would silently substitute the domain pool
-     under the "processes" label. *)
-  let proc_rows =
-    if Par.processes_available () then
-      List.map (fun sweep -> sweep Par.Processes) sweeps
-    else begin
-      print_endline
-        "note: process backend unavailable (non-Unix, or a domain was \
-         already spawned); skipping its rows";
-      []
-    end
-  in
-  let rows = proc_rows @ List.map (fun sweep -> sweep Par.Domains) sweeps in
   print_sweeps rows;
   rows
 
@@ -548,11 +514,12 @@ type sim_speed_row = {
   ss_minor_gcs : int;
 }
 
-(* Steady-state allocation ceiling asserted by --sim-speed-smoke: the
-   zero-alloc dispatch contract, in minor words per fired event.  The
-   residual words are the workload thunks themselves (each fired event
-   schedules its successor), not the dispatch path. *)
-let sim_speed_words_budget = 48.
+(* Steady-state allocation ceiling asserted by --sim-speed-smoke and
+   --smp-smoke: the zero-alloc dispatch contract, in minor words per
+   fired event.  The residual words are the workload thunks themselves
+   (each fired event schedules its successor), not the dispatch path;
+   the full-size rows measure ~5.5-8.3 and the smoke ones up to ~9.6. *)
+let sim_speed_words_budget = 16.
 
 let interactive_thread (sys : E.Common.sys) ~leaf ~sfq ~name ~mean_think ~burst
     ~seed =
@@ -1270,22 +1237,61 @@ let json_escape s =
     s;
   Buffer.contents buf
 
+(* Measured sweeps as "sweeps" members of the JSON, one line each.  The
+   section is a hard gate in hsfq_bench_diff (speedup < 1x fails the
+   diff), so only configurations that actually beat serial are recorded;
+   losing ones are reported here and documented in doc/PERFORMANCE.md
+   rather than committed as a standing failure.  Key names deliberately
+   share no fields with "benchmarks" so hsfq_bench_diff's line parser
+   never mistakes a sweep row for a micro-benchmark. *)
+let sweep_json_rows rows =
+  List.filter_map
+    (fun r ->
+      let speedup = r.serial_s /. r.parallel_s in
+      if speedup <= 1.0 then begin
+        Printf.printf
+          "note: dropping sweep row %S (%.2fx <= 1x — slower than serial, \
+           not committed to the gated sweeps section)\n"
+          r.sweep_name speedup;
+        None
+      end
+      else
+        Some
+          (Printf.sprintf
+             "    \"%s\": { \"jobs\": %d, \"serial_wall_s\": %.3f, \
+              \"parallel_wall_s\": %.3f, \"speedup\": %.3f, \
+              \"serial_minor_collections\": %d, \
+              \"parallel_minor_collections\": %d }"
+             (json_escape r.sweep_name) r.jobs r.serial_s r.parallel_s speedup
+             r.serial_minor_gcs r.parallel_minor_gcs))
+    rows
+
+(* --micro-only measures no sweeps, so it carries the "sweeps" members
+   of the file it is about to overwrite, verbatim: re-recording the
+   micro rows must not erase the hard-gated sweeps baseline.  A missing
+   file carries nothing. *)
+let carried_sweep_rows path =
+  let strip_comma l =
+    let n = String.length l in
+    if n > 0 && l.[n - 1] = ',' then String.sub l 0 (n - 1) else l
+  in
+  let rec seek = function
+    | [] -> []
+    | l :: rest ->
+      if String.equal (String.trim l) "\"sweeps\": {" then take [] rest
+      else seek rest
+  and take acc = function
+    | [] -> List.rev acc
+    | l :: rest ->
+      if String.starts_with ~prefix:"}" (String.trim l) then List.rev acc
+      else take (strip_comma l :: acc) rest
+  in
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> seek (String.split_on_char '\n' text)
+  | exception Sys_error _ -> []
+
 let write_json ~path ~sweeps ~sim_speed ~scale ~smp rows =
   let n = List.length rows in
-  (* The sweeps section is a hard gate in hsfq_bench_diff (speedup < 1x
-     fails the diff), so only configurations that actually beat serial
-     are recorded; losing ones are reported here and documented in
-     doc/PERFORMANCE.md rather than committed as a standing failure. *)
-  let losers, sweeps =
-    List.partition (fun r -> r.serial_s /. r.parallel_s <= 1.0) sweeps
-  in
-  List.iter
-    (fun r ->
-      Printf.printf
-        "note: dropping sweep row %S (%.2fx <= 1x — slower than serial, \
-         not committed to the gated sweeps section)\n"
-        r.sweep_name (r.serial_s /. r.parallel_s))
-    losers;
   let nsweeps = List.length sweeps in
   let nspeed = List.length sim_speed in
   let oc = open_out path in
@@ -1356,21 +1362,11 @@ let write_json ~path ~sweeps ~sim_speed ~scale ~smp rows =
             (if i = nsmp - 1 then "" else ","))
         smp;
       Printf.fprintf oc "  },\n";
-      (* Wall-clock of the Par.sweep fan-outs; key names deliberately
-         share no fields with "benchmarks" so hsfq_bench_diff's line
-         parser never mistakes a sweep row for a micro-benchmark. *)
+      (* Wall-clock of the Par.sweep fan-outs (see [sweep_json_rows]). *)
       Printf.fprintf oc "  \"sweeps\": {\n";
       List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    \"%s\": { \"jobs\": %d, \"serial_wall_s\": %.3f, \
-             \"parallel_wall_s\": %.3f, \"speedup\": %.3f, \
-             \"serial_minor_collections\": %d, \
-             \"parallel_minor_collections\": %d }%s\n"
-            (json_escape r.sweep_name) r.jobs r.serial_s r.parallel_s
-            (r.serial_s /. r.parallel_s)
-            r.serial_minor_gcs r.parallel_minor_gcs
-            (if i = nsweeps - 1 then "" else ","))
+        (fun i line ->
+          Printf.fprintf oc "%s%s\n" line (if i = nsweeps - 1 then "" else ","))
         sweeps;
       Printf.fprintf oc "  }\n";
       Printf.fprintf oc "}\n");
@@ -1426,13 +1422,9 @@ let run_smoke () =
       Printf.printf "  ok %s/%s\n" m.group m.name)
     (all_micros ());
   (* One cheap pass through the Par.sweep path: 2 torture seeds, serial
-     vs 2 forked processes vs 2 domains, verdicts compared inside.
-     Processes before domains — forking is forbidden after the first
-     Domain.spawn. *)
-  let sweep = torture_sweep ~jobs:2 ~seeds:2 ~ops:1_000 in
-  if Par.processes_available () then ignore (sweep Par.Processes);
-  ignore (sweep Par.Domains);
-  print_endline "  ok sweep/torture determinism (serial vs processes vs domains)";
+     vs 2 domains, verdicts compared inside. *)
+  ignore (torture_sweep ~jobs:2 ~seeds:2 ~ops:1_000);
+  print_endline "  ok sweep/torture determinism (serial vs domains)";
   print_endline "bench smoke PASSED."
 
 let () =
@@ -1476,7 +1468,10 @@ let () =
     let ok = if !micro_only then true else regenerate_figures () in
     if !smoke then run_smoke ()
     else begin
-      let sweeps = if !micro_only then [] else run_sweeps () in
+      let sweeps =
+        if !micro_only then carried_sweep_rows !json_path
+        else sweep_json_rows (run_sweeps ())
+      in
       let sim_speed = run_sim_speed () in
       (* The scale and smp rows ride along on --micro-only too: their
          footprints / event counts are deterministic, so the @bench-diff

@@ -206,15 +206,6 @@ let hot_path_modules =
     "lib/engine/event_queue.ml";
   ]
 
-(* Libraries whose code must stay domain-safe: they run on worker
-   domains under [Par.sweep], so module-level mutable globals there are
-   data races (and break run-to-run determinism).  The typed analyzer's
-   domain-race pass extends this whole-program; this token rule stays as
-   the fast, build-free first line. *)
-let domain_safe_scope file =
-  has_suffix file ".ml"
-  && (has_prefix file "lib/engine/" || has_prefix file "lib/torture/")
-
 (* lib/obs record paths must stay allocation-free: a tracepoint fires on
    every scheduling decision, so closures, lists and formatting there
    turn "one branch when disabled" into per-event garbage.  Exporters
@@ -229,18 +220,11 @@ let check_tokens ~file src =
   in
   let hot = List.exists (String.equal file) hot_path_modules in
   let obs_path = obs_record_scope file in
-  let check_toplevel_mutable = domain_safe_scope file in
   let prev = ref "" in
   let prev2 = ref "" in
   let prev_line = ref 0 in
   let pending_assert = ref (-1) in
-  (* toplevel-mutable state machine: 0 idle / 1 just saw a column-0
-     [let]/[and] / 2 saw the bound name / 3 inside a type annotation,
-     waiting for the [=]. The token arriving with [=] in its leading
-     symbol run is the head of the right-hand side. *)
-  let tl_state = ref 0 in
-  let tl_line = ref 0 in
-  let handle ~line ~col ~op tok =
+  let handle ~line ~col:_ ~op tok =
     (match !pending_assert with
     | -1 -> ()
     | aline ->
@@ -264,35 +248,6 @@ let check_tokens ~file src =
        flag "leaf-retarget" !prev_line
          "direct [.leaf <- ...] retarget bypasses donation migration; go \
           through the kernel's audited retarget helper");
-    (if check_toplevel_mutable then begin
-       (match !tl_state with
-       | 1 -> if not (String.equal tok "rec") then tl_state := 2
-       | (2 | 3) as s ->
-         if String.contains op '=' then begin
-           (* exactly "=": a parameter list or pattern in between would
-              leave its symbols in the run ("()=", ")="), and those
-              bindings define functions, not global cells *)
-           (if
-              String.equal op "="
-              && (String.equal tok "ref"
-                 || String.equal tok "Hashtbl.create"
-                 || has_suffix tok ".Hashtbl.create")
-            then
-              flag "toplevel-mutable" !tl_line
-                "module-top-level mutable global; this library runs on \
-                 worker domains (Par.sweep), so shared mutable state is a \
-                 data race — keep state in instance records (whitelist \
-                 only with a domain-safety justification)");
-           tl_state := 0
-         end
-         else if s = 2 then
-           if has_prefix op ":" then tl_state := 3 else tl_state := 0
-       | _ -> ());
-       if col = 0 && (String.equal tok "let" || String.equal tok "and") then begin
-         tl_state := 1;
-         tl_line := line
-       end
-     end);
     (match tok with
     | "assert" -> pending_assert := line
     | "min" | "max" when not (defn_head !prev || labeled) ->

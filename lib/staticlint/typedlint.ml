@@ -49,7 +49,7 @@ let bench_budgets =
     (* name, max minor_words_per_decision consistent with the typed
        pass's findings + whitelist *)
     ("sfq/Q=512", 1.0); (* sentinel [select] + int-service charge: ~0 measured *)
-    ("hierarchy/depth=16", 2.0); (* schedule_id/update_ns: ~0 measured *)
+    ("hierarchy/depth=16", 1.0); (* schedule_id/update_ns: ~0 measured *)
     (* The cold-walk decision allocates nothing (test_hierarchy asserts
        exactly 0 words); 0.1 sits above the harness's ~0.02-word
        measurement floor and below any per-decision block. *)
@@ -64,7 +64,13 @@ let bench_budgets =
     ("fqs/Q=8", 1.0);
     ("stride/Q=8", 1.0);
     ("round-robin/Q=8", 1.0);
-    ("svr4-ts/Q=8", 2.0); (* ring deques + select_id: ~0 measured *)
+    ("svr4-ts/Q=8", 1.0); (* ring deques + select_id: ~0 measured *)
+    (* setrun/sleep and the traced walk measure ~0.1-0.2 words, the
+       harness floor; 1.0 sits below any per-call block. *)
+    ("setrun+sleep/depth=1", 1.0);
+    ("setrun+sleep/depth=16", 1.0);
+    ("hierarchy-traced-off/depth=16", 1.0);
+    ("hierarchy-traced-on/depth=16", 1.0);
   ]
 
 let find_number src ~benchmark ~key =

@@ -2,7 +2,7 @@
 
    Three layers, mirroring the tools:
    - the token lexer and its rules (hsfq_lint), including the comment /
-     quoted-string edge cases and the toplevel-mutable state machine;
+     quoted-string edge cases;
    - whitelist semantics: duplicates, malformed lines, stale entries;
    - the typed passes (hsfq_tlint), driven by tiny fixture modules
      typechecked in-process with the same compiler-libs the analyzer
@@ -104,21 +104,6 @@ let test_rule_assert () =
   let fs = findings_in ~file:"lib/x/a.ml" "let f () = assert" in
   check_bool "assert at EOF still reported" true
     (has_rule "assert-validation" fs)
-
-let test_rule_toplevel_mutable () =
-  let flags src = has_rule "toplevel-mutable" (findings_in ~file:"lib/engine/a.ml" src) in
-  check_bool "top-level ref flagged" true (flags "let cell = ref 0");
-  check_bool "top-level Hashtbl.create flagged" true
-    (flags "let tbl = Hashtbl.create 16");
-  check_bool "type annotation tracked through state 3" true
-    (flags "let cell : int ref = ref 0");
-  check_bool "function body ref is fine" false (flags "let f () =\n  ref 0");
-  check_bool "let rec with params is a function, fine" false
-    (flags "let rec f x = ref 0");
-  check_bool "indented (local) let is fine" false (flags "  let cell = ref 0");
-  check_bool "out-of-scope directory is fine" false
-    (has_rule "toplevel-mutable"
-       (findings_in ~file:"lib/core/a.ml" "let cell = ref 0"))
 
 let test_rule_hot_hashtbl_scope () =
   check_bool "hot module flagged" true
@@ -296,16 +281,14 @@ let test_reach_worker_seeds () =
   let reachable = Reach.from_workers index in
   check_bool "imports pull units in" true (Hashtbl.mem reachable "Util");
   check_bool "non-importing unit stays out" false (Hashtbl.mem reachable "Island");
-  (* The process backend has no separate entrypoint surface: forked
-     workers run closures from the same Hsfq_par-importing units, and
-     Hsfq_par's own worker loops (Pool and Proc) seed themselves. *)
+  (* Hsfq_par's own worker loop seeds itself alongside its callers. *)
   let index =
     Cmt_index.of_units
-      [ mk "Hsfq_par" [ "Unix" ]; mk "Proc_driver" [ "Hsfq_par"; "Core" ]; mk "Core" [] ]
+      [ mk "Hsfq_par" [ "Hsfq_engine" ]; mk "Driver" [ "Hsfq_par"; "Core" ]; mk "Core" [] ]
   in
   Alcotest.(check (list string))
-    "Hsfq_par itself and process-sweep callers both seed the walk"
-    [ "Hsfq_par"; "Proc_driver" ]
+    "Hsfq_par itself and sweep callers both seed the walk"
+    [ "Hsfq_par"; "Driver" ]
     (Reach.worker_seeds index)
 
 let test_domain_race_end_to_end () =
@@ -329,6 +312,57 @@ let test_domain_race_end_to_end () =
     (match race with
     | [ f ] -> String.equal f.file "lib/fixture/fix_shared.ml" && f.line = 1
     | _ -> false)
+
+(* Every case of the retired token rule [toplevel-mutable] (a
+   column-0 [let]/[and] binding [ref]/[Hashtbl.create] in lib/engine or
+   lib/torture), re-stated as typed fixtures: tl-domain-race flags each
+   positive case and none of the function-valued ones.  Where the token
+   heuristic said "fine" for a real global — an indented top-level
+   binding, a directory outside its two-library scope — the typed pass
+   flags it as soon as worker code can reach the unit. *)
+let test_domain_race_covers_token_rule () =
+  let engine =
+    fixture ~modname:"Fix_engine" ~source:"lib/engine/a.ml"
+      "let cell = ref 0\n\
+       let tbl = Hashtbl.create 16\n\
+       let annotated : int ref = ref 0\n\
+       let f () =\n\
+      \  ref 0\n\
+       let rec g x = if x > 0 then g (x - 1) else ref 0\n\
+       let local () =\n\
+      \  let cell = ref 0 in\n\
+      \  !cell\n\
+      \  let indented = ref 0\n"
+  in
+  let core =
+    fixture ~modname:"Fix_core" ~source:"lib/core/a.ml" "let cell = ref 0\n"
+  in
+  let island =
+    fixture ~modname:"Fix_island" ~source:"lib/island/a.ml"
+      "let cell = ref 0\n"
+  in
+  let worker =
+    fixture ~modname:"Fix_worker" ~source:"lib/torture/worker.ml"
+      ~imports:[ "Hsfq_par"; "Fix_engine"; "Fix_core" ] "let go () = ()\n"
+  in
+  let index = Cmt_index.of_units [ engine; core; island; worker ] in
+  let _, findings = Typedlint.analyze index in
+  Alcotest.(check (list (pair string int)))
+    "flagged sites"
+    [
+      ("lib/core/a.ml", 1);
+      ("lib/engine/a.ml", 1);
+      ("lib/engine/a.ml", 2);
+      ("lib/engine/a.ml", 3);
+      ("lib/engine/a.ml", 10);
+    ]
+    (List.filter_map
+       (fun (f : Finding.t) ->
+         if String.equal f.rule "tl-domain-race" then Some (f.file, f.line)
+         else None)
+       findings
+    |> List.sort (fun (fa, la) (fb, lb) ->
+           match String.compare fa fb with 0 -> Int.compare la lb | c -> c))
 
 let test_hotrules_fixture () =
   let hot =
@@ -492,8 +526,6 @@ let () =
           Alcotest.test_case "poly-compare" `Quick test_rule_poly_compare;
           Alcotest.test_case "leaf-retarget" `Quick test_rule_leaf_retarget;
           Alcotest.test_case "assert-validation" `Quick test_rule_assert;
-          Alcotest.test_case "toplevel-mutable state machine" `Quick
-            test_rule_toplevel_mutable;
           Alcotest.test_case "hot-path-hashtbl scope" `Quick
             test_rule_hot_hashtbl_scope;
         ] );
@@ -522,6 +554,8 @@ let () =
             test_reach_worker_seeds;
           Alcotest.test_case "domain-race end to end" `Quick
             test_domain_race_end_to_end;
+          Alcotest.test_case "covers toplevel-mutable" `Quick
+            test_domain_race_covers_token_rule;
         ] );
       ( "typed-hotrules",
         [ Alcotest.test_case "fixture module" `Quick test_hotrules_fixture ] );
