@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test lint check bench bench-smoke bench-diff sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke perfbench-smoke figures examples regen-golden clean
+.PHONY: all build test lint check bench bench-smoke bench-diff torture-smoke sweep-smoke perfbench-smoke figures examples regen-golden clean
 
 all: build
 
@@ -16,50 +16,34 @@ test:
 lint:
 	dune build @lint @lint-typed
 
-# Tier-1 verification: strict build + tests + lint + bench, sim-speed,
-# torture, parallel-sweep and perfbench smoke passes.
-check: build test lint bench-smoke sim-speed-smoke scale-smoke smp-smoke torture-smoke sweep-smoke perfbench-smoke
+# Tier-1 verification: strict build + tests + lint + bench, torture,
+# parallel-sweep and perfbench smoke passes.
+check: build test lint bench-smoke torture-smoke sweep-smoke perfbench-smoke
 
-# Full harness: regenerate every paper figure + micro-benchmarks.
+# Full harness: micro-benchmarks, parallel sweeps, scale and smp rows,
+# re-recorded into BENCH_sched.json.  The paper's figures are
+# `dune exec bin/hsfq_sim.exe -- run --all`.
 bench:
 	dune exec bench/main.exe
 
-# Figures + one iteration of every micro-benchmark, no Bechamel quota:
-# catches hot-path crashes/invariant trips without paying for timings.
+# One iteration of every micro-benchmark (no Bechamel quota), a sweep
+# determinism check, and the scale and smp workloads at toy size with
+# hard asserts: compaction fires and reclaims, P=1 never migrates, P>1
+# storms do, per-event cost stays flat in P, allocation budgets hold.
+# The full scale and smp rows live in BENCH_sched.json, hard-gated by
+# `make bench-diff`.
 bench-smoke:
 	dune build @bench-smoke
 
 # Perf-regression gate: a fresh `--micro-only` run diffed against the
-# committed BENCH_sched.json.  Micro and sim-speed rows outside ±25%
-# are advisory (timing noise can't fail the build); the scale and smp
-# sections are hard-gated.  The fresh run measures no sweeps, so for
+# committed BENCH_sched.json.  Micro ns rows outside ±25% are advisory
+# (timing noise can't fail the build); the scale and smp sections are
+# hard-gated.  The fresh run measures no sweeps, so for
 # the "sweeps" section this only re-checks that every committed speedup
 # is >= 1x; comparing fresh sweep timings takes a full `make bench`.
 # Re-run `make bench` to refresh the baseline when a change is real.
 bench-diff:
 	dune build @bench-diff
-
-# End-to-end throughput sanity: shrunk sim-speed workloads through the
-# full dispatch path, asserting events fire and the steady-state
-# minor-words/event budget holds (the zero-alloc dispatch contract).
-sim-speed-smoke:
-	dune build @sim-speed-smoke
-
-# Churn/compaction sanity: the scale mixes (steady / arrival-heavy /
-# departure-heavy) at a toy Q with hard asserts that compaction fires
-# and reclaims.  The full sweep at Q = 10^4..10^6 runs in `make bench`
-# and lands in BENCH_sched.json's "scale" section, which
-# `make bench-diff` hard-gates (log-slope + footprint drift).
-scale-smoke:
-	dune build @scale-smoke
-
-# Multiprocessor dispatch sanity: shrunk P = 1/2/4/8 workloads with
-# hard asserts — P=1 never migrates, P>1 storms do, and per-event cost
-# stays flat in P.  The full rows live in BENCH_sched.json's "smp"
-# section, hard-gated by `make bench-diff` (deterministic event and
-# migration counts).
-smp-smoke:
-	dune build @smp-smoke
 
 # Lifecycle torture, quick slice: 8 seeds x 2000 ops with per-op
 # audits.  The full acceptance sweep is

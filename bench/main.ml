@@ -1,39 +1,45 @@
-(* The full benchmark harness.
+(* The benchmark harness: the layer costs no other surface measures.
 
-   Part 1 regenerates every table/figure of the paper's evaluation (plus
-   the extension experiments) and verifies the shape checks — the rows
-   printed here are the ones EXPERIMENTS.md records against the paper.
+   The paper's figures are reproduced by `hsfq_sim run --all`, which
+   exits 1 on a failing shape check, and asserted by test_experiments;
+   the end-to-end simulator benchmark is perfbench/.  This harness
+   measures what sits underneath, in four sections.
 
-   Part 2 micro-benchmarks the scheduling primitives with Bechamel: the
-   paper's §3 cost claim is that an SFQ scheduling decision is one
-   addition + one division + an O(log Q) priority-queue operation, and
-   that hierarchical dispatch adds only a per-level constant.  Each
-   benchmark is measured against two instances — wall-clock nanoseconds
-   and minor-heap words allocated — because the flat-array hot path
+   Micro-benchmarks time the scheduling primitives: the paper's §3 cost
+   claim is that an SFQ scheduling decision is one addition + one
+   division + an O(log Q) priority-queue operation, and that
+   hierarchical dispatch adds only a per-level constant.  Each closure
+   gets two numbers: nanoseconds per call from a Bechamel OLS fit
+   (advisory: wall-clock on shared hardware), and minor words per call
+   as an exact count ([exact_words]), because the flat-array hot path
    claims *both* a small constant and steady-state allocation freedom.
 
-   Part 3 times the parallel sweep (Par.sweep on the domain pool)
-   against the serial run on three multi-second fan-outs — two torture
-   seed-sweep shapes and the full experiment suite — and records
-   serial/parallel wall-clock under the JSON's "sweeps" section.  The
-   verdicts of every run are compared on the spot: a speedup that
-   changed the answer is a bug, not a result.
-   Only rows with a measured speedup above 1.0x are written to the JSON
-   (hsfq_bench_diff hard-gates the sweeps section, higher-is-better);
-   losing configurations are printed and dropped, and the measured
-   history lives in doc/PERFORMANCE.md.
+   Parallel sweeps time Par.sweep on the domain pool against the serial
+   run on three multi-second fan-outs — two torture seed-sweep shapes
+   and the full experiment suite — and record serial/parallel
+   wall-clock under the JSON's "sweeps" section.  The verdicts of every
+   run are compared on the spot: a speedup that changed the answer is a
+   bug, not a result.  Only rows with a measured speedup above 1.0x are
+   written to the JSON (hsfq_bench_diff hard-gates the sweeps section,
+   higher-is-better); losing configurations are printed and dropped.
+
+   Scale drives the core structures through churn mixes at Q = 10^4 to
+   10^6 live clients; smp runs the dispatch engine on P = 1 / 2 / 4 / 8
+   simulated CPUs.  Both record deterministic counts that
+   hsfq_bench_diff hard-gates.
 
    Results are emitted to BENCH_sched.json (override with --json PATH)
-   so the performance trajectory is recorded across PRs; the before/after
-   history lives in doc/PERFORMANCE.md.
+   so the performance trajectory is recorded across changes; the
+   before/after history lives in doc/PERFORMANCE.md.
 
    Modes:
-     (default)      figures + Bechamel micro-benchmarks + sweeps + JSON
-     --smoke        figures + one hand-rolled iteration of every micro
-                    benchmark (no Bechamel quota) and a 2-seed sweep
-                    determinism check — the @bench-smoke dune alias runs
-                    this so the harness cannot bit-rot
-     --micro-only   skip Parts 1 and 3 (used when iterating on the hot
+     (default)      micros + sweeps + scale + smp, then the JSON
+     --smoke        one hand-rolled iteration of every micro (no
+                    Bechamel quota), a 2-seed sweep determinism check,
+                    and the scale and smp workloads at toy size with
+                    hard assertions — the @bench-smoke dune alias runs
+                    this in `make check` so the harness cannot bit-rot
+     --micro-only   skip the sweeps (used when iterating on the hot
                     path); the "sweeps" object of the JSON file being
                     overwritten is carried over, not erased *)
 
@@ -47,31 +53,13 @@ module Par = Hsfq_par.Par
 module T = Hsfq_torture.Torture
 module Obs = Hsfq_obs
 
-(* ------------------------------------------------------------------ *)
-(* Part 1: figure regeneration                                         *)
-(* ------------------------------------------------------------------ *)
-
-let regenerate_figures () =
-  print_endline "==================================================================";
-  print_endline " Part 1: regeneration of every figure in the paper's evaluation";
-  print_endline "==================================================================";
-  let failures = ref [] in
-  List.iter
-    (fun (e : E.Registry.entry) ->
-      Printf.printf "\n=== %s: %s ===\n" e.id e.title;
-      Printf.printf "  paper: %s\n" e.paper_claim;
-      let checks = e.execute ~quiet:false in
-      E.Common.print_checks checks;
-      if not (E.Common.all_ok checks) then failures := e.id :: !failures)
-    E.Registry.all;
-  (match !failures with
-  | [] -> print_endline "\nAll experiment shape checks PASSED."
-  | l ->
-    Printf.printf "\nFAILING experiments: %s\n" (String.concat ", " (List.rev l)));
-  !failures = []
+let banner title =
+  print_endline "\n==================================================================";
+  Printf.printf " %s\n" title;
+  print_endline "=================================================================="
 
 (* ------------------------------------------------------------------ *)
-(* Part 2: micro-benchmarks                                            *)
+(* Micro-benchmarks                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Each micro benchmark is a named closure over a preloaded scheduler, so
@@ -371,7 +359,7 @@ let all_micros () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: serial vs parallel wall-clock on the big fan-outs.           *)
+(* Parallel sweeps: serial vs parallel wall-clock on the big fan-outs. *)
 (* ------------------------------------------------------------------ *)
 
 type sweep_row = {
@@ -474,9 +462,7 @@ let print_sweeps rows =
   Engine.Table.print t
 
 let run_sweeps () =
-  print_endline "\n==================================================================";
-  print_endline " Part 3: parallel sweeps, serial vs the domain pool";
-  print_endline "==================================================================";
+  banner "parallel sweeps, serial vs the domain pool";
   (* At least two workers, even on a single-core box: a 1-vs-1 "sweep"
      would measure nothing.  On one core the domain pool is expected to
      lose (oversubscription + stop-the-world rendezvous); the JSON keeps
@@ -496,208 +482,7 @@ let run_sweeps () =
   rows
 
 (* ------------------------------------------------------------------ *)
-(* Part 4: end-to-end sim-speed — events/sec through the full dispatch *)
-(* path (Kernel quantum loop -> Hierarchy -> Sfq -> Event_queue).      *)
-(* ------------------------------------------------------------------ *)
-
-module K = Hsfq_kernel.Kernel
-module LS = Hsfq_kernel.Leaf_sched
-module IS = Hsfq_kernel.Interrupt_source
-module W = Hsfq_workload
-
-type sim_speed_row = {
-  ss_name : string;
-  events : int;
-  ss_wall_s : float;
-  events_per_sec : float;
-  words_per_event : float;
-  ss_minor_gcs : int;
-}
-
-(* Steady-state allocation ceiling asserted by --sim-speed-smoke and
-   --smp-smoke: the zero-alloc dispatch contract, in minor words per
-   fired event.  The residual words are the workload thunks themselves
-   (each fired event schedules its successor), not the dispatch path;
-   the full-size rows measure ~5.5-8.3 and the smoke ones up to ~9.6. *)
-let sim_speed_words_budget = 16.
-
-let interactive_thread (sys : E.Common.sys) ~leaf ~sfq ~name ~mean_think ~burst
-    ~seed =
-  let wl, _ = W.Interactive.make ~mean_think ~burst ~seed () in
-  let tid = K.spawn sys.k ~name ~leaf wl in
-  LS.Sfq_leaf.add sfq ~tid ~weight:1.;
-  K.start sys.k tid
-
-(* Each call advances the simulation by one [slice_ms] slice and returns
-   the cumulative event count, so the harness can warm up on the first
-   slice (arrays grown, free lists filled) and time the rest. *)
-let slice_runner (sys : E.Common.sys) ~slice_ms =
-  let horizon = ref Engine.Time.zero in
-  fun () ->
-    horizon := Engine.Time.add !horizon (Engine.Time.milliseconds slice_ms);
-    K.run_until sys.k !horizon;
-    Engine.Sim.steps sys.sim
-
-(* fig1/fig4-style: MPEG decoders plus interactive foreground, two SFQ
-   leaves — the paper's video-server mix. *)
-let ss_mpeg ~slice_ms () =
-  let sys : E.Common.sys = E.Common.make_sys ~audit:false () in
-  let leaf, sfq =
-    E.Common.sfq_leaf sys ~parent:Core.Hierarchy.root ~name:"video" ~weight:3.
-      ()
-  in
-  for i = 0 to 3 do
-    ignore
-      (E.Common.mpeg_thread sys ~leaf ~sfq ~name:(Printf.sprintf "mpeg%d" i)
-         ~weight:1. ())
-  done;
-  let ileaf, isfq =
-    E.Common.sfq_leaf sys ~parent:Core.Hierarchy.root ~name:"interactive"
-      ~weight:1. ()
-  in
-  for i = 0 to 1 do
-    interactive_thread sys ~leaf:ileaf ~sfq:isfq ~name:(Printf.sprintf "x%d" i)
-      ~mean_think:(Engine.Time.milliseconds 20) ~burst:(Engine.Time.milliseconds 1)
-      ~seed:(7 + i)
-  done;
-  slice_runner sys ~slice_ms
-
-(* fig5-style: Dhrystone threads under SVR4 time-sharing with daemons
-   and interrupt load — the "unmodified kernel" workload. *)
-let ss_ts ~slice_ms () =
-  let sys : E.Common.sys = E.Common.make_sys ~audit:false () in
-  let leaf, svr4 =
-    E.Common.svr4_leaf sys ~parent:Core.Hierarchy.root ~name:"ts" ~weight:1. ()
-  in
-  for i = 0 to 4 do
-    ignore
-      (E.Common.dhrystone_ts_thread sys ~leaf ~svr4
-         ~name:(Printf.sprintf "dhry%d" i)
-         ~loop_cost:(Engine.Time.microseconds 500))
-  done;
-  ignore
-    (E.Common.background_daemons sys ~leaf ~svr4 ~n:3
-       ~mean_think:(Engine.Time.milliseconds 300)
-       ~burst:(Engine.Time.milliseconds 20) ~seed:31);
-  K.add_interrupt_source sys.k
-    (IS.Periodic
-       { period = Engine.Time.milliseconds 10; cost = Engine.Time.microseconds 100 });
-  K.add_interrupt_source sys.k
-    (IS.Poisson
-       { rate_hz = 200.; mean_cost = Engine.Time.microseconds 150; seed = 99 });
-  slice_runner sys ~slice_ms
-
-(* torture-style timer churn: many short-burst interactive threads plus
-   a 1 kHz interrupt — wake timers, quantum timers and cancellations
-   dominate, which is exactly the event-queue churn path. *)
-let ss_churn ~slice_ms () =
-  let sys : E.Common.sys = E.Common.make_sys ~audit:false () in
-  let leaf, sfq =
-    E.Common.sfq_leaf sys ~parent:Core.Hierarchy.root ~name:"churn" ~weight:1.
-      ()
-  in
-  for i = 0 to 31 do
-    interactive_thread sys ~leaf ~sfq ~name:(Printf.sprintf "i%d" i)
-      ~mean_think:(Engine.Time.milliseconds 2)
-      ~burst:(Engine.Time.microseconds 300) ~seed:(100 + i)
-  done;
-  K.add_interrupt_source sys.k
-    (IS.Periodic
-       { period = Engine.Time.milliseconds 1; cost = Engine.Time.microseconds 20 });
-  slice_runner sys ~slice_ms
-
-(* Per-scenario slice sizes chosen so ten measured slices run long
-   enough (~10^5 events each) for a stable events/sec estimate; the
-   [scale] divisor shrinks them for the smoke pass. *)
-let sim_speed_scenarios ~scale =
-  let ms base = Int.max 1 (base / scale) in
-  [
-    ("mpeg+interactive", ss_mpeg ~slice_ms:(ms 60_000));
-    ("svr4-ts+irq", ss_ts ~slice_ms:(ms 12_000));
-    ("timer-churn", ss_churn ~slice_ms:(ms 3_000));
-  ]
-
-(* Simulated event counts are deterministic (seeded workloads), so only
-   the wall clock is noisy.  The first slice warms the system (arrays
-   grown, free lists filled, workload state reached) and is excluded;
-   the measured region is [slices] further slices of simulated time. *)
-let measure_sim_speed ~slices (name, setup) =
-  let run = setup () in
-  let e0 = run () in
-  Gc.full_major ();
-  let c0 = (Gc.quick_stat ()).Gc.minor_collections in
-  let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let e1 = ref e0 in
-  for _ = 1 to slices do
-    e1 := run ()
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  let words = Gc.minor_words () -. w0 in
-  let c1 = (Gc.quick_stat ()).Gc.minor_collections in
-  let events = !e1 - e0 in
-  {
-    ss_name = name;
-    events;
-    ss_wall_s = dt;
-    events_per_sec = float_of_int events /. dt;
-    words_per_event = words /. float_of_int events;
-    ss_minor_gcs = c1 - c0;
-  }
-
-let print_sim_speed rows =
-  let t =
-    Engine.Table.create
-      [ "workload"; "events"; "wall s"; "events/sec"; "words/event"; "minor GCs" ]
-  in
-  List.iter
-    (fun r ->
-      Engine.Table.row t
-        [
-          r.ss_name;
-          string_of_int r.events;
-          Printf.sprintf "%.3f" r.ss_wall_s;
-          Printf.sprintf "%.0f" r.events_per_sec;
-          Printf.sprintf "%.2f" r.words_per_event;
-          string_of_int r.ss_minor_gcs;
-        ])
-    rows;
-  Engine.Table.print t
-
-let run_sim_speed () =
-  print_endline "\n==================================================================";
-  print_endline " Part 4: end-to-end sim-speed (events/sec, full dispatch path)";
-  print_endline "==================================================================";
-  let rows =
-    List.map (measure_sim_speed ~slices:10) (sim_speed_scenarios ~scale:1)
-  in
-  print_sim_speed rows;
-  rows
-
-(* --sim-speed-smoke: tiny workloads, hard assertions — events actually
-   fire and the dispatch path holds its steady-state allocation budget.
-   Part of `make check`, so a regression that reintroduces per-event
-   allocation fails CI rather than only drifting a number. *)
-let run_sim_speed_smoke () =
-  let rows =
-    List.map (measure_sim_speed ~slices:2) (sim_speed_scenarios ~scale:100)
-  in
-  print_sim_speed rows;
-  List.iter
-    (fun r ->
-      if r.events <= 0 || not (r.events_per_sec > 0.) then
-        failwith (Printf.sprintf "sim-speed smoke: %s fired no events" r.ss_name);
-      if r.words_per_event > sim_speed_words_budget then
-        failwith
-          (Printf.sprintf
-             "sim-speed smoke: %s allocates %.1f minor words/event, over the \
-              %.0f-word steady-state budget"
-             r.ss_name r.words_per_event sim_speed_words_budget))
-    rows;
-  print_endline "sim-speed smoke PASSED."
-
-(* ------------------------------------------------------------------ *)
-(* Part 5: scale — churn scaling of the core scheduling structures at  *)
+(* Scale: churn scaling of the core scheduling structures at           *)
 (* Q = 10^4 / 10^5 / 10^6 live clients.                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -901,9 +686,7 @@ let print_scale rows =
   Engine.Table.print t
 
 let run_scale () =
-  print_endline "\n==================================================================";
-  print_endline " Part 5: scale — churn mixes at Q = 10^4 / 10^5 / 10^6";
-  print_endline "==================================================================";
+  banner "scale — churn mixes at Q = 10^4 / 10^5 / 10^6";
   let rows =
     scale_rows
       ~qs:[ 10_000; 100_000; 1_000_000 ]
@@ -972,11 +755,11 @@ let run_move_storm_smoke () =
     "move storm ok: %d leaves, %d moves, footprint %d -> %d words\n" leaves
     moves base.T.footprint_words stormed.T.footprint_words
 
-(* --scale-smoke: the same mixes at a toy Q with hard assertions — the
-   compaction machinery must actually fire and reclaim.  Part of
-   `make check` via the @scale-smoke alias, so a change that silently
-   stops releasing memory under departure churn fails CI rather than
-   only drifting a committed number. *)
+(* The scale half of --smoke: the same mixes at a toy Q with hard
+   assertions — the compaction machinery must actually fire and
+   reclaim.  Part of `make check` via the @bench-smoke alias, so a
+   change that silently stops releasing memory under departure churn
+   fails CI rather than only drifting a committed number. *)
 let run_scale_smoke () =
   let q = 4096 in
   let rows =
@@ -1019,7 +802,7 @@ let run_scale_smoke () =
   print_endline "scale smoke PASSED."
 
 (* ------------------------------------------------------------------ *)
-(* Part 6: smp — the dispatch engine on a simulated CPU set.           *)
+(* SMP: the dispatch engine on a simulated CPU set.                    *)
 (* ------------------------------------------------------------------ *)
 
 (* One deterministic dispatch-heavy workload per CPU count: P hog
@@ -1040,6 +823,32 @@ type smp_row = {
 }
 
 let smp_cpu_counts = [ 1; 2; 4; 8 ]
+
+(* Steady-state allocation ceiling asserted by --smoke on every smp row,
+   in minor words per fired event.  The residual words are the workload
+   thunks themselves (each fired event schedules its successor), not
+   the dispatch path; the full-size rows measure ~5.5. *)
+let smp_words_budget = 16.
+
+module K = Hsfq_kernel.Kernel
+module LS = Hsfq_kernel.Leaf_sched
+
+let interactive_thread (sys : E.Common.sys) ~leaf ~sfq ~name ~mean_think ~burst
+    ~seed =
+  let wl, _ = Hsfq_workload.Interactive.make ~mean_think ~burst ~seed () in
+  let tid = K.spawn sys.k ~name ~leaf wl in
+  LS.Sfq_leaf.add sfq ~tid ~weight:1.;
+  K.start sys.k tid
+
+(* Each call advances the simulation by one [slice_ms] slice and returns
+   the cumulative event count, so the harness can warm up on the first
+   slice (arrays grown, free lists filled) and time the rest. *)
+let slice_runner (sys : E.Common.sys) ~slice_ms =
+  let horizon = ref Engine.Time.zero in
+  fun () ->
+    horizon := Engine.Time.add !horizon (Engine.Time.milliseconds slice_ms);
+    K.run_until sys.k !horizon;
+    Engine.Sim.steps sys.sim
 
 let smp_setup ~cpus ~slice_ms () =
   let sys : E.Common.sys = E.Common.make_sys ~audit:false ~cpus () in
@@ -1108,18 +917,16 @@ let print_smp rows =
   Engine.Table.print t
 
 let run_smp () =
-  print_endline "\n==================================================================";
-  print_endline " Part 6: smp — per-CPU dispatch over P = 1 / 2 / 4 / 8";
-  print_endline "==================================================================";
+  banner "smp — per-CPU dispatch over P = 1 / 2 / 4 / 8";
   let rows = List.map (measure_smp ~slices:5 ~slice_ms:400) smp_cpu_counts in
   print_smp rows;
   rows
 
-(* --smp-smoke: the same workloads shrunk, with the structural claims
-   as hard assertions — P=1 never migrates, P>1 storms actually
-   migrate, per-event cost does not blow up with P, and the dispatch
-   path holds the allocation budget on every CPU count.  Part of
-   `make check` via the @smp-smoke dune alias. *)
+(* The smp half of --smoke: the same workloads shrunk, with the
+   structural claims as hard assertions — P=1 never migrates, P>1
+   storms actually migrate, per-event cost does not blow up with P, and
+   the dispatch path holds the allocation budget on every CPU count.
+   Part of `make check` via the @bench-smoke dune alias. *)
 let run_smp_smoke () =
   let rows = List.map (measure_smp ~slices:2 ~slice_ms:40) smp_cpu_counts in
   print_smp rows;
@@ -1138,12 +945,12 @@ let run_smp_smoke () =
           (Printf.sprintf
              "smp smoke: %s never migrated — the idle-claim path is dead"
              r.smp_name);
-      if r.smp_words_per_event > sim_speed_words_budget then
+      if r.smp_words_per_event > smp_words_budget then
         failwith
           (Printf.sprintf
              "smp smoke: %s allocates %.1f minor words/event, over the \
               %.0f-word budget"
-             r.smp_name r.smp_words_per_event sim_speed_words_budget);
+             r.smp_name r.smp_words_per_event smp_words_budget);
       (* Machine-relative: P-CPU bookkeeping may not multiply the
          per-event dispatch cost.  3x leaves headroom for the extra
          per-CPU accounting while catching an accidental O(P) scan. *)
@@ -1157,27 +964,28 @@ let run_smp_smoke () =
   print_endline "smp smoke PASSED."
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel run: ns/decision and minor words/decision per benchmark.   *)
+(* Micro run: exact minor words, then Bechamel ns, per benchmark.      *)
 (* ------------------------------------------------------------------ *)
 
-(* Toolkit.Instance.minor_allocated reads [Gc.quick_stat], which on
-   OCaml 5 only advances at collection boundaries — low-allocation
-   benchmarks would read as zero between minor GCs. [Gc.minor_words]
-   reads the domain's allocation pointer and is exact, so register a
-   precise measure instead. *)
-module Minor_words = struct
-  type witness = unit
+(* Warm-up calls before the words count (arrays grown, free lists
+   filled), then the counted calls. *)
+let words_warmup = 1_000
+let words_calls = 100_000
 
-  let label () = "minor-words"
-  let unit () = "mnw"
-  let make () = ()
-  let load () = ()
-  let unload () = ()
-  let get () = Gc.minor_words ()
-end
-
-let minor_words : Measure.witness =
-  Measure.instance (module Minor_words) (Measure.register (module Minor_words))
+(* Minor words per call of [m], counted exactly: [Gc.minor_words] reads
+   the domain's allocation pointer, so the difference across
+   [words_calls] calls is the closure's own allocation.  The count runs
+   before Bechamel touches the closure, from the same state on every
+   run, so two runs print the same column. *)
+let exact_words m =
+  for _ = 1 to words_warmup do
+    m.fn ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to words_calls do
+    m.fn ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int words_calls
 
 let micro_tests micros =
   let groups =
@@ -1198,11 +1006,12 @@ let micro_tests micros =
               micros))
        groups)
 
-let estimates_of witness raw =
+(* Bechamel's OLS estimate of ns per call, keyed by full test name. *)
+let ns_estimates raw =
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
-  let results = Analyze.all ols witness raw in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
   let out = Hashtbl.create 32 in
   Hashtbl.iter
     (fun name ols_result ->
@@ -1290,10 +1099,9 @@ let carried_sweep_rows path =
   | text -> seek (String.split_on_char '\n' text)
   | exception Sys_error _ -> []
 
-let write_json ~path ~sweeps ~sim_speed ~scale ~smp rows =
+let write_json ~path ~sweeps ~scale ~smp rows =
   let n = List.length rows in
   let nsweeps = List.length sweeps in
-  let nspeed = List.length sim_speed in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
@@ -1309,21 +1117,6 @@ let write_json ~path ~sweeps ~sim_speed ~scale ~smp rows =
             (json_escape name) ns words
             (if i = n - 1 then "" else ","))
         rows;
-      Printf.fprintf oc "  },\n";
-      (* End-to-end throughput of the full dispatch path; field names
-         are disjoint from "benchmarks" so hsfq_bench_diff's line
-         parser can tell the sections apart without nesting state. *)
-      Printf.fprintf oc "  \"sim_speed\": {\n";
-      List.iteri
-        (fun i r ->
-          Printf.fprintf oc
-            "    \"%s\": { \"events\": %d, \"wall_s\": %.3f, \
-             \"events_per_sec\": %.0f, \"minor_words_per_event\": %.3f, \
-             \"minor_collections\": %d }%s\n"
-            (json_escape r.ss_name) r.events r.ss_wall_s r.events_per_sec
-            r.words_per_event r.ss_minor_gcs
-            (if i = nspeed - 1 then "" else ","))
-        sim_speed;
       Printf.fprintf oc "  },\n";
       (* Churn-scaling rows; every field carries a "scale_" prefix so
          hsfq_bench_diff's line parser (which matches `"key":` with the
@@ -1371,33 +1164,27 @@ let write_json ~path ~sweeps ~sim_speed ~scale ~smp rows =
       Printf.fprintf oc "  }\n";
       Printf.fprintf oc "}\n");
   Printf.printf
-    "\nwrote %s (%d benchmarks, %d sim-speed rows, %d scale rows, %d smp rows, \
-     %d sweeps)\n"
-    path n nspeed (List.length scale) (List.length smp) nsweeps
+    "\nwrote %s (%d benchmarks, %d scale rows, %d smp rows, %d sweeps)\n"
+    path n (List.length scale) (List.length smp) nsweeps
 
-let run_micro ~json_path ~sweeps ~sim_speed ~scale ~smp =
-  print_endline "\n==================================================================";
-  print_endline " Part 2: micro-benchmarks (ns and minor words per decision)";
-  print_endline "==================================================================";
+let run_micro ~json_path ~sweeps ~scale ~smp =
+  banner "micro-benchmarks (ns and exact minor words per decision)";
   let micros = all_micros () in
+  let words = List.map (fun m -> (m.name, exact_words m)) micros in
   (* A 0.25 s quota leaves ~10% run-to-run jitter on this box, enough to
      swamp the 5% traced-off acceptance gate; 1 s keeps the OLS fit
      within a couple of percent across runs. *)
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) ~kde:None () in
-  let instances = [ Instance.monotonic_clock; minor_words ] in
-  let raw = Benchmark.all cfg instances (micro_tests micros) in
-  let ns = estimates_of Instance.monotonic_clock raw in
-  let words = estimates_of minor_words raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name est ->
-      let w =
-        match Hashtbl.find_opt words name with Some w -> w | None -> 0.
-      in
-      rows := (display_name name, est, w) :: !rows)
-    ns;
+  let raw =
+    Benchmark.all cfg [ Instance.monotonic_clock ] (micro_tests micros)
+  in
   let rows =
-    List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !rows
+    Hashtbl.fold
+      (fun name est acc ->
+        let name = display_name name in
+        (name, est, List.assoc name words) :: acc)
+      (ns_estimates raw) []
+    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
   in
   let t =
     Engine.Table.create [ "benchmark"; "ns/decision"; "minor words/decision" ]
@@ -1405,52 +1192,44 @@ let run_micro ~json_path ~sweeps ~sim_speed ~scale ~smp =
   List.iter
     (fun (name, est, w) ->
       Engine.Table.row t
-        [ name; Printf.sprintf "%.1f" est; Printf.sprintf "%.2f" w ])
+        [ name; Printf.sprintf "%.1f" est; Printf.sprintf "%.3f" w ])
     rows;
   Engine.Table.print t;
-  write_json ~path:json_path ~sweeps ~sim_speed ~scale ~smp rows
+  write_json ~path:json_path ~sweeps ~scale ~smp rows
 
-(* --smoke: every micro closure must run without raising — one iteration,
-   no Bechamel quota, so `make check` can afford it. *)
+(* --smoke: every micro closure must run without raising — one
+   iteration, no Bechamel quota — then one cheap pass through the
+   Par.sweep path and the scale and smp assertions at toy size, so
+   `make check` can afford it. *)
 let run_smoke () =
-  print_endline "\n==================================================================";
-  print_endline " Part 2 (smoke): one iteration of every micro-benchmark";
-  print_endline "==================================================================";
+  banner "micro-benchmarks (smoke): one iteration of every micro";
   List.iter
     (fun m ->
       m.fn ();
       Printf.printf "  ok %s/%s\n" m.group m.name)
     (all_micros ());
-  (* One cheap pass through the Par.sweep path: 2 torture seeds, serial
-     vs 2 domains, verdicts compared inside. *)
+  (* 2 torture seeds, serial vs 2 domains, verdicts compared inside. *)
   ignore (torture_sweep ~jobs:2 ~seeds:2 ~ops:1_000);
   print_endline "  ok sweep/torture determinism (serial vs domains)";
+  banner "scale (smoke): churn mixes at a toy Q";
+  run_scale_smoke ();
+  banner "smp (smoke): shrunk P = 1 / 2 / 4 / 8 dispatch workloads";
+  run_smp_smoke ();
   print_endline "bench smoke PASSED."
 
 let () =
   let smoke = ref false in
   let micro_only = ref false in
-  let sim_speed_smoke = ref false in
-  let sim_speed_only = ref false in
-  let scale_smoke = ref false in
-  let smp_smoke = ref false in
   let json_path = ref "BENCH_sched.json" in
   let spec =
     [
-      ("--smoke", Arg.Set smoke, " figures + 1-iteration micro sanity pass");
-      ("--micro-only", Arg.Set micro_only, " skip figure regeneration");
-      ( "--sim-speed-smoke",
-        Arg.Set sim_speed_smoke,
-        " tiny end-to-end workloads with hard events/sec + allocation asserts" );
-      ( "--sim-speed-only",
-        Arg.Set sim_speed_only,
-        " run only the full-size sim-speed workloads (no JSON)" );
-      ( "--scale-smoke",
-        Arg.Set scale_smoke,
-        " toy-Q churn mixes with hard compaction/footprint asserts" );
-      ( "--smp-smoke",
-        Arg.Set smp_smoke,
-        " shrunk P=1..8 dispatch workloads with hard migration/cost asserts" );
+      ( "--smoke",
+        Arg.Set smoke,
+        " 1-iteration micro pass, sweep determinism, toy-size scale/smp \
+         asserts" );
+      ( "--micro-only",
+        Arg.Set micro_only,
+        " skip the parallel sweeps (the JSON keeps the file's sweeps rows)" );
       ( "--json",
         Arg.Set_string json_path,
         "PATH output path for benchmark estimates (default BENCH_sched.json)" );
@@ -1458,27 +1237,17 @@ let () =
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "bench/main.exe [--smoke] [--sim-speed-smoke] [--scale-smoke] \
-     [--smp-smoke] [--micro-only] [--json PATH]";
-  if !sim_speed_smoke then run_sim_speed_smoke ()
-  else if !sim_speed_only then ignore (run_sim_speed ())
-  else if !scale_smoke then run_scale_smoke ()
-  else if !smp_smoke then run_smp_smoke ()
+    "bench/main.exe [--smoke] [--micro-only] [--json PATH]";
+  if !smoke then run_smoke ()
   else begin
-    let ok = if !micro_only then true else regenerate_figures () in
-    if !smoke then run_smoke ()
-    else begin
-      let sweeps =
-        if !micro_only then carried_sweep_rows !json_path
-        else sweep_json_rows (run_sweeps ())
-      in
-      let sim_speed = run_sim_speed () in
-      (* The scale and smp rows ride along on --micro-only too: their
-         footprints / event counts are deterministic, so the @bench-diff
-         fresh run can hard-gate them against the committed baseline. *)
-      let scale = run_scale () in
-      let smp = run_smp () in
-      run_micro ~json_path:!json_path ~sweeps ~sim_speed ~scale ~smp
-    end;
-    if not ok then exit 1
+    let sweeps =
+      if !micro_only then carried_sweep_rows !json_path
+      else sweep_json_rows (run_sweeps ())
+    in
+    (* The scale and smp rows ride along on --micro-only too: their
+       footprints / event counts are deterministic, so the @bench-diff
+       fresh run can hard-gate them against the committed baseline. *)
+    let scale = run_scale () in
+    let smp = run_smp () in
+    run_micro ~json_path:!json_path ~sweeps ~scale ~smp
   end

@@ -4,10 +4,10 @@
 
    Compares every benchmark row present in both files and flags entries
    whose fresh/baseline ratio falls outside [0.75, 1.33] (±25-ish percent,
-   symmetric in log space).  The micro and sim_speed sections are
-   advisory — a noisy CI box cannot fail the build on ns-level timing —
-   but the "sweeps" section is a hard gate: a parallel sweep exists only
-   to be faster than serial, so a committed or fresh speedup below 1.0x
+   symmetric in log space).  The micro section is advisory — a noisy CI
+   box cannot fail the build on ns-level timing — but the "sweeps"
+   section is a hard gate: a parallel sweep exists only to be faster
+   than serial, so a committed or fresh speedup below 1.0x
    (the historical inversion, see ROADMAP item 1), a >25% regression
    against baseline, or a sweep row that vanished from a fresh run that
    measured sweeps at all, each fail the diff with exit 1.  The "scale"
@@ -29,10 +29,6 @@ let tolerance_lo = 0.75
 let tolerance_hi = 1.33
 
 type row = { ns : float; words : float }
-
-(* A sim_speed section row: end-to-end events/sec (higher is better,
-   unlike ns/decision) and steady-state minor words per fired event. *)
-type speed_row = { eps : float; wpe : float }
 
 (* A sweeps section row: measured wall-clock speedup of a parallel
    sweep over its serial run (higher is better; < 1.0 is an inversion). *)
@@ -88,7 +84,6 @@ let name_of line =
 let load path =
   let ic = open_in path in
   let rows = Hashtbl.create 32 in
-  let speeds = Hashtbl.create 8 in
   let sweeps = Hashtbl.create 8 in
   let scales = Hashtbl.create 8 in
   let smps = Hashtbl.create 8 in
@@ -99,12 +94,6 @@ let load path =
        | Some ns, Some words -> (
          match name_of line with
          | Some name -> Hashtbl.replace rows name { ns; words }
-         | None -> ())
-       | _ -> ());
-       (match (field line "events_per_sec", field line "minor_words_per_event") with
-       | Some eps, Some wpe -> (
-         match name_of line with
-         | Some name -> Hashtbl.replace speeds name { eps; wpe }
          | None -> ())
        | _ -> ());
        (match
@@ -137,7 +126,7 @@ let load path =
      done
    with End_of_file -> ());
   close_in ic;
-  (rows, speeds, sweeps, scales, smps)
+  (rows, sweeps, scales, smps)
 
 let classify ratio =
   if ratio < tolerance_lo then `Faster
@@ -152,12 +141,10 @@ let () =
       prerr_endline "usage: hsfq_bench_diff BASELINE.json FRESH.json";
       exit 2
   in
-  let baseline, baseline_speed, baseline_sweeps, baseline_scale, baseline_smp =
+  let baseline, baseline_sweeps, baseline_scale, baseline_smp =
     load baseline_path
   in
-  let fresh, fresh_speed, fresh_sweeps, fresh_scale, fresh_smp =
-    load fresh_path
-  in
+  let fresh, fresh_sweeps, fresh_scale, fresh_smp = load fresh_path in
   if Hashtbl.length baseline = 0 then begin
     Printf.eprintf "no benchmark rows found in %s\n" baseline_path;
     exit 2
@@ -207,51 +194,6 @@ let () =
       if not (Hashtbl.mem baseline name) then
         Printf.printf "%-28s %12s %12s %8s  new (not in baseline)\n" name "-" "-" "-")
     fresh;
-  (* sim_speed rows: end-to-end events/sec, where a ratio {e below} the
-     band is the regression (throughput dropped). The simulated event
-     counts are deterministic, so words/event drift is again the
-     higher-signal column. *)
-  if Hashtbl.length baseline_speed > 0 || Hashtbl.length fresh_speed > 0 then begin
-    let names =
-      Hashtbl.fold (fun name _ acc -> name :: acc) baseline_speed []
-      |> List.sort String.compare
-    in
-    Printf.printf "\n%-28s %12s %12s %8s  %s\n" "sim-speed workload" "base ev/s"
-      "fresh ev/s" "ratio" "verdict";
-    List.iter
-      (fun name ->
-        match (Hashtbl.find_opt fresh_speed name, Hashtbl.find_opt baseline_speed name) with
-        | None, _ ->
-          Printf.printf "%-28s %12s %12s %8s  missing from fresh run\n" name "-"
-            "-" "-"
-        | _, None -> ()
-        | Some f, Some b ->
-          let ratio = f.eps /. b.eps in
-          let verdict =
-            match classify ratio with
-            | `Ok -> "ok"
-            | `Faster ->
-              (* events/sec: below the band = throughput regression. *)
-              incr drifted;
-              "SLOWER (throughput dropped)"
-            | `Slower ->
-              incr drifted;
-              "FASTER (update baseline?)"
-          in
-          Printf.printf "%-28s %12.0f %12.0f %8.2f  %s\n" name b.eps f.eps ratio
-            verdict;
-          if b.wpe > 0.5 && Float.abs ((f.wpe /. b.wpe) -. 1.) > 0.25 then begin
-            incr drifted;
-            Printf.printf "%-28s %12.1f %12.1f %8.2f  ALLOC DRIFT (minor words/event)\n"
-              "" b.wpe f.wpe (f.wpe /. b.wpe)
-          end)
-      names;
-    Hashtbl.iter
-      (fun name _ ->
-        if not (Hashtbl.mem baseline_speed name) then
-          Printf.printf "%-28s %12s %12s %8s  new (not in baseline)\n" name "-" "-" "-")
-      fresh_speed
-  end;
   (* sweeps rows: the hard gate. A sweep's whole reason to exist is a
      wall-clock win over serial, so verdicts are inverted
      (higher-is-better) and failures are fatal: speedup < 1.0 in either
@@ -565,9 +507,9 @@ let () =
   end;
   if !drifted > 0 then
     Printf.printf
-      "\n%d micro/sim-speed row(s) outside the [%.2f, %.2f] tolerance band — advisory only.\n"
+      "\n%d micro/scale row(s) outside the [%.2f, %.2f] tolerance band — advisory only.\n"
       !drifted tolerance_lo tolerance_hi
-  else Printf.printf "\nall micro/sim-speed rows within tolerance.\n";
+  else Printf.printf "\nall micro/scale rows within tolerance.\n";
   if !failed > 0 then begin
     Printf.printf "%d sweep/scale/smp check(s) FAILED the hard gates.\n" !failed;
     exit 1

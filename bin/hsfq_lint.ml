@@ -11,11 +11,11 @@
    - missing-mli         lib/ module without a companion interface
    - hot-path-hashtbl    hashtable tokens in the hot-path modules
    - obs-alloc           allocation-prone tokens on lib/obs record paths
-   - leaf-retarget       [.leaf <- ...] outside the kernel's helper
 
    The typed analyzer (hsfq_tlint, dune alias @lint-typed) supersedes
-   the last three heuristics whole-program, and alone guards
-   module-level mutable globals (tl-domain-race); this tool stays as
+   the last two heuristics whole-program, and alone guards module-level
+   mutable globals (tl-domain-race) and [.leaf <- ...] retargets outside
+   the kernel's helper (tl-leaf-retarget); this tool stays as
    the fast, no-build-needed first line.  Shared whitelist format: lines of
    [<rule> <path> <justification...>].  Exit codes: 0 clean, 1 findings
    (or stale whitelist entries without --allow-stale), 2 usage/IO. *)

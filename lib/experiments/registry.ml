@@ -4,7 +4,6 @@ type entry = {
   id : string;
   title : string;
   paper_claim : string;
-  execute : quiet:bool -> Common.check list;
   compute : unit -> computed;
 }
 
@@ -13,17 +12,7 @@ let entry id title paper_claim ~run ~print ~checks =
     let r = run () in
     { render = (fun () -> print r); checks = checks r }
   in
-  {
-    id;
-    title;
-    paper_claim;
-    execute =
-      (fun ~quiet ->
-        let c = compute () in
-        if not quiet then c.render ();
-        c.checks);
-    compute;
-  }
+  { id; title; paper_claim; compute }
 
 let all =
   [

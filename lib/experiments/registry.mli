@@ -1,5 +1,5 @@
 (** Uniform access to every reproduction experiment, used by the
-    [hsfq_sim] CLI and the benchmark harness. *)
+    [hsfq_sim] CLI, the experiment tests and the benchmark's sweep. *)
 
 type computed = {
   render : unit -> unit;  (** print the captured rows/series *)
@@ -10,15 +10,12 @@ type entry = {
   id : string;  (** e.g. ["fig5"], ["xfair"] *)
   title : string;
   paper_claim : string;  (** one line: what the paper reports *)
-  execute : quiet:bool -> Common.check list;
-      (** run the experiment; print its rows/series unless [quiet];
-          return the shape checks *)
   compute : unit -> computed;
-      (** the same run with rendering deferred: all simulation happens
-          inside [compute] (which prints nothing and touches no shared
-          state, so entries may be computed on worker domains), and the
-          caller invokes [render] afterwards — in entry order, on the
-          main domain — for output identical to [execute]'s *)
+      (** run the experiment with rendering deferred: all simulation
+          happens inside [compute] (which prints nothing and touches no
+          shared state, so entries may be computed on worker domains),
+          and the caller invokes [render] afterwards — in entry order,
+          on the main domain *)
 }
 
 val all : entry list

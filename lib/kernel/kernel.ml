@@ -964,7 +964,7 @@ let kill t tid =
 
 (* The only sanctioned [th.leaf <- _] site: every retarget must come
    through [move], which also migrates ready-set membership and
-   donations (the source lint's [leaf-retarget] rule enforces this). *)
+   donations (the typed lint rule [tl-leaf-retarget] enforces this). *)
 let retarget_leaf t th ~to_leaf =
   count_live t th.leaf (-1);
   count_live t to_leaf 1;

@@ -222,7 +222,6 @@ let check_tokens ~file src =
   let obs_path = obs_record_scope file in
   let prev = ref "" in
   let prev2 = ref "" in
-  let prev_line = ref 0 in
   let pending_assert = ref (-1) in
   let handle ~line ~col:_ ~op tok =
     (match !pending_assert with
@@ -239,15 +238,6 @@ let check_tokens ~file src =
     (if String.equal !prev "nan" && comparison_op op then
        flag "nan-compare" line
          "comparison against nan is vacuous; use Float.is_nan");
-    (* [th.leaf <- x]: the "<-" arrives as the symbol run before the
-       token following it, so the assigned field is [prev]. *)
-    (if
-       has_prefix op "<-"
-       && (has_suffix !prev ".leaf" || String.equal !prev "leaf")
-     then
-       flag "leaf-retarget" !prev_line
-         "direct [.leaf <- ...] retarget bypasses donation migration; go \
-          through the kernel's audited retarget helper");
     (match tok with
     | "assert" -> pending_assert := line
     | "min" | "max" when not (defn_head !prev || labeled) ->
@@ -294,8 +284,7 @@ let check_tokens ~file src =
               per event — use named top-level functions, while loops and \
               preallocated arrays (whitelist only the exporters)" tok));
     prev2 := !prev;
-    prev := tok;
-    prev_line := line
+    prev := tok
   in
   scan src ~f:handle;
   (match !pending_assert with

@@ -243,6 +243,55 @@ let test_work_conservation_with_interrupts () =
   check_bool "time fully accounted (within one quantum)" true
     (horizon - total <= Time.milliseconds 20 && total <= horizon)
 
+(* The interrupt path's allocation budget: SVR4 time-sharing Dhrystone
+   threads and daemons under a periodic and a Poisson interrupt source,
+   bounded at the same 16 minor words per fired event as the smp rows
+   of the bench smoke.  The residual words are the workload thunks (each
+   fired event schedules its successor), not the dispatch path; this run
+   measures 5.31 (3238 words over 610 events). *)
+let test_interrupt_path_words () =
+  let sim = Sim.create () in
+  let hier = Hierarchy.create () in
+  let k = Kernel.create sim hier in
+  let leaf =
+    match Hierarchy.mknod hier ~name:"ts" ~parent:Hierarchy.root ~weight:1. Hierarchy.Leaf with
+    | Ok id -> id
+    | Error e -> failwith e
+  in
+  let lf, svr4 = Leaf_sched.Svr4_leaf.make () in
+  Kernel.install_leaf k leaf lf;
+  let start name wl =
+    let tid = Kernel.spawn k ~name ~leaf wl in
+    Leaf_sched.Svr4_leaf.add svr4 ~tid Hsfq_sched.Svr4.Ts;
+    Kernel.start k tid
+  in
+  for i = 0 to 4 do
+    start (Printf.sprintf "dhry%d" i)
+      (fst (Hsfq_workload.Dhrystone.make ~loop_cost:(Time.microseconds 500) ()))
+  done;
+  for i = 0 to 2 do
+    start (Printf.sprintf "daemon%d" i)
+      (fst
+         (Hsfq_workload.Interactive.make ~mean_think:(Time.milliseconds 300)
+            ~burst:(Time.milliseconds 20) ~seed:(31 + i) ()))
+  done;
+  Kernel.add_interrupt_source k
+    (Interrupt_source.Periodic { period = Time.milliseconds 10; cost = Time.microseconds 100 });
+  Kernel.add_interrupt_source k
+    (Interrupt_source.Poisson { rate_hz = 200.; mean_cost = Time.microseconds 150; seed = 99 });
+  (* The first slice warms up: arrays grown, free lists filled. *)
+  Kernel.run_until k (Time.milliseconds 120);
+  let e0 = Sim.steps sim in
+  let w0 = Gc.minor_words () in
+  Kernel.run_until k (Time.milliseconds 360);
+  let words = Gc.minor_words () -. w0 in
+  let events = Sim.steps sim - e0 in
+  check_bool "events fire" true (events > 0);
+  check_bool "interrupts fire" true (Kernel.interrupt_time k > 0);
+  let per_event = words /. float_of_int events in
+  if per_event > 16. then
+    Alcotest.failf "%.2f minor words per event, over the 16-word budget" per_event
+
 (* ------------------- suspend / resume / move / kill ------------------ *)
 
 let test_suspend_running_thread () =
@@ -1510,6 +1559,8 @@ let () =
           Alcotest.test_case "interrupt during idle" `Quick test_interrupt_during_idle;
           Alcotest.test_case "work conservation under load" `Quick
             test_work_conservation_with_interrupts;
+          Alcotest.test_case "interrupt path words budget" `Quick
+            test_interrupt_path_words;
         ] );
       ( "thread control",
         [

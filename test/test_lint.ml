@@ -90,12 +90,6 @@ let test_rule_poly_compare () =
   let fs = findings_in ~file:"lib/x/a.ml" "let r = f ~min:3 ~max:9" in
   check_int "labeled args exempt" 0 (List.length fs)
 
-let test_rule_leaf_retarget () =
-  let fs = findings_in ~file:"lib/x/a.ml" "let f th l = th.leaf <- l" in
-  check_bool "leaf assignment flagged" true (has_rule "leaf-retarget" fs);
-  let fs = findings_in ~file:"lib/x/a.ml" "let f th l = th.left <- l" in
-  check_int "other fields fine" 0 (List.length fs)
-
 let test_rule_assert () =
   let fs = findings_in ~file:"lib/x/a.ml" "let f x = assert (x > 0)" in
   check_bool "assert on input flagged" true (has_rule "assert-validation" fs);
@@ -394,6 +388,27 @@ let test_hotrules_fixture () =
   check_bool "cold module has no hot findings" false
     (has_rule "tl-hot-hashtbl" (Hotrules.scan_unit cold))
 
+(* Every case of the retired token rule [leaf-retarget] (a [.leaf <-]
+   assignment anywhere in the tree), re-stated as a typed fixture in a
+   cold module: tl-leaf-retarget flags each [leaf] setfield, through a
+   nested record too, and leaves other fields alone. *)
+let test_hotrules_cover_leaf_retarget () =
+  let u =
+    fixture ~source:"lib/x/a.ml"
+      "type th = { mutable leaf : int; mutable left : int }\n\
+       type wrap = { th : th }\n\
+       let f th l = th.leaf <- l\n\
+       let g w l = w.th.leaf <- l\n\
+       let h th l = th.left <- l\n"
+  in
+  Alcotest.(check (list int))
+    "leaf assignments flagged, other fields fine" [ 3; 4 ]
+    (List.filter_map
+       (fun (f : Finding.t) ->
+         if String.equal f.rule "tl-leaf-retarget" then Some f.line else None)
+       (Hotrules.scan_unit u)
+    |> List.sort Int.compare)
+
 let alloc_findings ?(roots = [ "hot" ]) ?(cold = []) src =
   let u = fixture ~source:"lib/fixture/fixture.ml" src in
   Allocpass.scan_unit { source = u.source; roots; cold } u
@@ -524,7 +539,6 @@ let () =
       ( "token-rules",
         [
           Alcotest.test_case "poly-compare" `Quick test_rule_poly_compare;
-          Alcotest.test_case "leaf-retarget" `Quick test_rule_leaf_retarget;
           Alcotest.test_case "assert-validation" `Quick test_rule_assert;
           Alcotest.test_case "hot-path-hashtbl scope" `Quick
             test_rule_hot_hashtbl_scope;
@@ -558,7 +572,11 @@ let () =
             test_domain_race_covers_token_rule;
         ] );
       ( "typed-hotrules",
-        [ Alcotest.test_case "fixture module" `Quick test_hotrules_fixture ] );
+        [
+          Alcotest.test_case "fixture module" `Quick test_hotrules_fixture;
+          Alcotest.test_case "covers leaf-retarget" `Quick
+            test_hotrules_cover_leaf_retarget;
+        ] );
       ( "typed-alloc",
         [
           Alcotest.test_case "allocating constructs" `Quick
